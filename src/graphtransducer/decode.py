@@ -155,13 +155,11 @@ class CountsLm:
 @dataclass
 class BeamState:
     """One hypothesis: a prefix with its mass split into alignments ending
-    in blank (p_b) and not ending in blank (p_nb), both log domain, plus
-    the decoder state index the prefix selects."""
+    in blank (p_b) and not ending in blank (p_nb), both log domain."""
 
     prefix: tuple[int, ...]
     p_b: float = NEG_INF
     p_nb: float = NEG_INF
-    state_id: int = 0
 
     def total(self) -> float:
         return _log_add(self.p_b, self.p_nb)
@@ -240,7 +238,7 @@ def beam_search(
         lm = UniformLm()
     log_theta1 = math.log(cfg.theta1) if cfg.theta1 > 0.0 else NEG_INF
 
-    root = BeamState(prefix=(), p_b=0.0, p_nb=NEG_INF, state_id=0)
+    root = BeamState(prefix=(), p_b=0.0, p_nb=NEG_INF)
     prev: dict[tuple[int, ...], BeamState] = {(): root}
     pruned: list[tuple[int, ...]] = [()]
     prev_set: set[tuple[int, ...]] = set()
@@ -252,7 +250,7 @@ def beam_search(
         def state_for(prefix: tuple[int, ...]) -> BeamState:
             st = cur.get(prefix)
             if st is None:
-                st = BeamState(prefix=prefix, state_id=len(prefix))
+                st = BeamState(prefix=prefix)
                 cur[prefix] = st
             return st
 

@@ -17,6 +17,7 @@ Two built-in topologies are provided for a label sequence ``y``:
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,12 +64,20 @@ class Node:
 
 @dataclass(frozen=True)
 class Edge:
-    """Directed edge.  ``state`` is None exactly on edges into the end node."""
+    """Directed edge.  ``state`` is None exactly on edges into the end node.
+
+    ``log_weight`` may be -inf (a zero-weight edge) but not NaN or +inf,
+    which would turn the marginal into a finite wrong value or NaN.
+    """
 
     src: int
     dst: int
     log_weight: float = 0.0
     state: int | None = None
+
+    def __post_init__(self):
+        if math.isnan(self.log_weight) or self.log_weight == math.inf:
+            raise ValueError(f"edge {self.src}->{self.dst} has invalid log weight {self.log_weight}")
 
 
 @dataclass(frozen=True)
@@ -363,8 +372,6 @@ def validate(lat: Lattice) -> list[str]:
                 out.append(f"end-edge: edge {e.src}->{e.dst} into the end node must not carry a state")
         elif e.state is None:
             out.append(f"end-edge: emitting edge {e.src}->{e.dst} carries no decoder state")
-        if np.isnan(e.log_weight) or e.log_weight == np.inf:
-            out.append(f"end-edge: edge {e.src}->{e.dst} has invalid log weight {e.log_weight}")
 
     if len(starts) == 1:
         reached = {starts[0]}
@@ -479,7 +486,8 @@ def deserialize(text: str) -> Lattice:
         logw = item.get("logw")
         _require(isinstance(logw, (int, float)) and not isinstance(logw, bool),
                  "logw must be a number", f"{where}.logw")
-        _require(not np.isnan(logw), "logw must not be NaN", f"{where}.logw")
+        _require(not (math.isnan(logw) or logw == math.inf),
+                 "logw must not be NaN or +Infinity", f"{where}.logw")
         state = item.get("state")
         _require(state is None or (isinstance(state, int) and state >= 0),
                  "state must be null or a non-negative integer", f"{where}.state")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -288,6 +289,27 @@ def test_deserialize_rejects_bad_label():
                       {"id": 2, "label": "end"}],
             "edges": [],
         }))
+
+
+@pytest.mark.parametrize("weight", [math.inf, math.nan])
+def test_edge_rejects_nan_and_positive_infinite_weight(weight):
+    with pytest.raises(ValueError, match="invalid log weight"):
+        Edge(0, 1, weight, 0)
+
+
+def test_edge_accepts_negative_infinite_weight():
+    assert Edge(0, 1, -math.inf, 0).log_weight == -math.inf
+
+
+@pytest.mark.parametrize("weight, token", [(math.inf, "Infinity"), (math.nan, "NaN")])
+def test_deserialize_rejects_nan_and_positive_infinite_weight(weight, token):
+    doc = json.loads(serialize(build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), 3))))
+    doc["edges"][2]["logw"] = weight
+    text = json.dumps(doc)
+    assert f'"logw": {token}' in text
+    with pytest.raises(LatticeFormatError) as info:
+        deserialize(text)
+    assert info.value.where == "edges[2].logw"
 
 
 def test_dot_output_shape():

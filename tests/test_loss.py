@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,16 @@ from graphtransducer import (
     build_ctc_like_graph,
     build_lattice,
     build_monornnt_graph,
+    deserialize,
     forward_vars,
     log_marginal,
     loss_and_grad,
     marginal,
+    reference_ctc,
+    reference_monornnt,
+    serialize,
 )
-from graphtransducer.verify import random_case
+from graphtransducer.verify import FD_STEP, GRAD_TOL, random_case
 
 NEG_INF = float("-inf")
 
@@ -219,3 +225,95 @@ def test_longer_sequences_against_mono_recursion():
     assert -log_marginal(lat, post) == pytest.approx(
         reference_monornnt(labels, post.logprobs), abs=1e-10
     )
+
+
+def test_zero_weight_edge_gives_finite_loss_or_infeasible():
+    # -inf is a legal zero-weight edge; cutting any one edge of the lattice
+    # must never produce a NaN gradient or a finite wrong marginal
+    text = serialize(build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), 3)))
+    rng = np.random.default_rng(19)
+    for cut in range(len(json.loads(text)["edges"])):
+        doc = json.loads(text)
+        doc["edges"][cut]["logw"] = float("-inf")
+        lat = deserialize(json.dumps(doc))
+        for frames in range(1, 6):
+            post = PosteriorTensor(rng.normal(0, 1, (frames, 3, 3)))
+            try:
+                result = loss_and_grad(lat, post)
+            except InfeasibleLengthError:
+                continue
+            assert np.isfinite(result.loss)
+            assert np.all(np.isfinite(result.grad))
+            assert result.log_marginal == pytest.approx(log_marginal(lat, post), abs=1e-12)
+
+
+def log_softmax(logits):
+    peak = logits.max(axis=-1, keepdims=True)
+    return logits - (peak + np.log(np.exp(logits - peak).sum(axis=-1, keepdims=True)))
+
+
+def occupancy_case(rng, kind):
+    """A case past check_gradients' reach: T up to 40, U up to 8, decoder
+    states the lattice never uses, and a top label it never emits.  ctc-like
+    cases repeat a label and tie the logits across states, so plain CTC over
+    the shared (T, vocab) logits is their reference."""
+    vocab = int(rng.integers(4, 7))
+    labels = [int(k) for k in rng.integers(1, vocab - 1, int(rng.integers(3, 9)))]
+    if kind == CTC_LIKE:
+        labels[1] = labels[0]
+    lat = build_lattice(TopologySpec(kind, tuple(labels), vocab))
+    frames = int(rng.integers(max(lat.min_emissions, 20), 41))
+    states = len(labels) + 1 + int(rng.integers(1, 3))
+    if kind == CTC_LIKE:
+        free = rng.normal(0, 1, (frames, vocab))
+        logits = np.repeat(free[:, None, :], states, axis=1)
+        ref_loss = lambda x: reference_ctc(labels, log_softmax(x))  # noqa: E731
+    else:
+        free = logits = rng.normal(0, 1, (frames, states, vocab))
+        ref_loss = lambda x: reference_monornnt(labels, log_softmax(x))  # noqa: E731
+    return lat, PosteriorTensor(logits), len(labels), free, ref_loss
+
+
+def per_edge_grad(lat, post):
+    """p(t,i,k) * occ(t,i) - occ(t,i,k) accumulated one edge at a time."""
+    alpha, beta = forward_vars(lat, post), backward_vars(lat, post)
+    logp = log_marginal(lat, post)
+    lp = post.logprobs
+    grad = np.zeros_like(lp)
+    for t in range(post.num_frames):
+        for src, dst, i, k, w in zip(*lat.emit):
+            occ = np.exp(alpha[t, src] + w + lp[t, i, k] + beta[t + 1, dst] - logp)
+            grad[t, i] += np.exp(lp[t, i]) * occ
+            grad[t, i, k] -= occ
+    return grad
+
+
+@pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
+def test_occupancy_gradient_at_larger_shapes(kind):
+    rng = np.random.default_rng(20 if kind == CTC_LIKE else 21)
+    for _ in range(4):
+        lat, post, n_labels, free, ref_loss = occupancy_case(rng, kind)
+        result = loss_and_grad(lat, post)
+        grad = result.grad
+        assert result.loss == pytest.approx(ref_loss(free), rel=1e-10)
+        assert np.abs(grad - per_edge_grad(lat, post)).max() < 1e-12
+
+        # central differences of the oracle on sampled coordinates; tied
+        # logits receive the gradient summed over decoder states
+        analytic = grad.sum(axis=1) if kind == CTC_LIKE else grad
+        scale = max(np.abs(analytic).max(), 1e-8)
+        for flat in rng.choice(analytic.size, min(20, analytic.size), replace=False):
+            idx = np.unravel_index(flat, analytic.shape)
+            x = free.copy()
+            x[idx] += FD_STEP
+            plus = ref_loss(x)
+            x[idx] -= 2 * FD_STEP
+            fd = (plus - ref_loss(x)) / (2 * FD_STEP)
+            assert abs(analytic[idx] - fd) < GRAD_TOL * scale
+
+        # the top label is emitted nowhere, so its gradient is p * occ(t, i);
+        # each frame emits exactly once, so occupancies of a frame sum to one
+        top = post.vocab_size - 1
+        occ = grad[:, :, top] / np.exp(post.logprobs[:, :, top])
+        assert np.abs(occ.sum(axis=1) - 1.0).max() < 1e-9
+        assert np.all(grad[:, n_labels + 1:] == 0.0)
