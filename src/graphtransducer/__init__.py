@@ -8,7 +8,6 @@ every production path.
 """
 
 from .decode import (
-    BeamState,
     CountsLm,
     DecodeConfig,
     ModelPosteriors,

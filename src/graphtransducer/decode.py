@@ -13,6 +13,7 @@ log-add-exp here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol
 
@@ -95,6 +96,9 @@ class ModelPosteriors:
 class UniformLm:
     """No-op language model: log probability 0 for every prefix."""
 
+    def extension_score(self, context: tuple[int, ...], label: int) -> float:
+        return 0.0
+
     def score(self, prefix: tuple[int, ...]) -> float:
         return 0.0
 
@@ -107,11 +111,26 @@ class CountsLm:
     order is one more than the longest context.  Seen contexts are add-one
     smoothed over the non-blank vocabulary so every extension has a proper
     nonzero probability; unseen contexts back off to uniform.
+
+    ``extension_score(context, label)`` is log P(label | context), and
+    ``score(prefix)`` is the left-to-right sum of the extension scores of
+    its labels, so a search that adds extension scores as it lengthens a
+    prefix gets ``score`` bit for bit.
     """
 
     def __init__(self, counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab_size: int):
         if vocab_size < 2:
             raise ValueError("vocab_size must be at least 2")
+        for ctx, by_label in counts.items():
+            for label, count in by_label.items():
+                if not 1 <= label < vocab_size:
+                    raise ValueError(
+                        f"context {tuple(ctx)}: label {label} outside 1..{vocab_size - 1}"
+                    )
+                if count < 1:
+                    raise ValueError(
+                        f"context {tuple(ctx)}, label {label}: count must be positive; got {count}"
+                    )
         self._counts = {tuple(ctx): dict(by_label) for ctx, by_label in counts.items()}
         self._totals = {ctx: sum(v.values()) for ctx, v in self._counts.items()}
         self._labels = vocab_size - 1  # non-blank labels
@@ -149,27 +168,20 @@ class CountsLm:
         return math.log(by_label.get(label, 0) + 1) - math.log(self._totals[ctx] + self._labels)
 
     def score(self, prefix: tuple[int, ...]) -> float:
-        return sum(self.extension_score(prefix[:j], k) for j, k in enumerate(prefix))
-
-
-@dataclass
-class BeamState:
-    """One hypothesis: a prefix with its mass split into alignments ending
-    in blank (p_b) and not ending in blank (p_nb), both log domain."""
-
-    prefix: tuple[int, ...]
-    p_b: float = NEG_INF
-    p_nb: float = NEG_INF
-
-    def total(self) -> float:
-        return _log_add(self.p_b, self.p_nb)
+        # an explicit loop, not sum(), whose float summation is compensated
+        # from Python 3.12 on and would no longer match a running sum
+        total = 0.0
+        for j, k in enumerate(prefix):
+            total += self.extension_score(prefix[:j], k)
+        return total
 
 
 @dataclass(frozen=True)
 class DecodeConfig:
     """Search settings.  ``theta1`` floors linear-domain posteriors for the
     local candidate set; ``theta2`` is a log-domain score width below the
-    best surviving hypothesis; ``beam_size`` is the hypothesis cap P."""
+    best surviving hypothesis; ``beam_size`` is the hypothesis cap P, an
+    integer; ``lm_weight`` and ``insertion_bonus`` must be finite."""
 
     beam_size: int = 10
     theta1: float = 0.0
@@ -179,12 +191,17 @@ class DecodeConfig:
     kind: str = PREFIX_BEAM
 
     def __post_init__(self):
+        if isinstance(self.beam_size, bool) or not isinstance(self.beam_size, numbers.Integral):
+            raise ValueError(f"beam_size must be an integer; got {self.beam_size!r}")
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1; got {self.beam_size}")
         if not 0.0 <= self.theta1 < 1.0:
             raise ValueError(f"theta1 must lie in [0, 1); got {self.theta1}")
         if not self.theta2 > 0.0:
             raise ValueError(f"theta2 must be positive; got {self.theta2}")
+        for name in ("lm_weight", "insertion_bonus"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite; got {getattr(self, name)}")
         if self.kind not in (GREEDY, PREFIX_BEAM):
             raise ValueError(f"unknown search kind {self.kind!r}")
 
@@ -206,16 +223,6 @@ def prune(
     return [h for h in kept if scores[h] >= floor]
 
 
-def _asr_score(state: BeamState, lm, lm_weight: float, insertion_bonus: float) -> float:
-    score = state.total() + lm_weight * lm.score(state.prefix)
-    n = len(state.prefix)
-    # the insertion bonus counts emitted labels; an empty prefix takes no
-    # bonus rather than the singular 0^beta
-    if insertion_bonus != 0.0 and n > 0:
-        score += insertion_bonus * math.log(n)
-    return score
-
-
 def beam_search(
     provider: PosteriorProvider, cfg: DecodeConfig, lm=None
 ) -> tuple[tuple[int, ...], float]:
@@ -231,69 +238,92 @@ def beam_search(
     rules accumulate: when a prefix and its extension both survive pruning,
     the extension receives both its own continuation mass and the mass
     arriving from its parent.
+
+    A hypothesis scores log(p_b + p_nb) + lm_weight * LM(prefix) +
+    insertion_bonus * log(len(prefix)).  Scoring is incremental: each
+    hypothesis carries its LM log probability, a prefix continued in place
+    keeps it, and a lengthened prefix ``h + (k,)`` adds
+    ``lm.extension_score(h, k)`` to its parent's when it appears; the value
+    then travels with the prefix from frame to frame while it stays scored.
+    No prefix is rescored from scratch, so the LM needs only
+    ``extension_score(context, label)``.  The running sum equals the LM's
+    whole-prefix ``score``, which is the left-to-right sum of the same
+    terms.
     """
     if cfg.kind != PREFIX_BEAM:
         raise ValueError(f"beam_search requires kind={PREFIX_BEAM!r}; got {cfg.kind!r}")
     if lm is None:
         lm = UniformLm()
+    extension_score = lm.extension_score
+    weight, bonus = cfg.lm_weight, cfg.insertion_bonus
     log_theta1 = math.log(cfg.theta1) if cfg.theta1 > 0.0 else NEG_INF
 
-    root = BeamState(prefix=(), p_b=0.0, p_nb=NEG_INF)
-    prev: dict[tuple[int, ...], BeamState] = {(): root}
+    # one record per prefix: [p_b, p_nb, LM log probability], log domain,
+    # with the mass split by whether the alignment ends in blank
+    prev: dict[tuple[int, ...], list] = {(): [0.0, NEG_INF, 0.0]}
     pruned: list[tuple[int, ...]] = [()]
-    prev_set: set[tuple[int, ...]] = set()
-
-    final_scores: dict[tuple[int, ...], float] = {(): _asr_score(root, lm, cfg.lm_weight, cfg.insertion_bonus)}
+    scores = {(): 0.0}  # mass 1, LM log probability 0, no bonus
     for t in range(1, provider.num_frames + 1):
-        cur: dict[tuple[int, ...], BeamState] = {}
-
-        def state_for(prefix: tuple[int, ...]) -> BeamState:
-            st = cur.get(prefix)
-            if st is None:
-                st = BeamState(prefix=prefix)
-                cur[prefix] = st
-            return st
-
+        cur: dict[tuple[int, ...], list] = {}
         pruned_set = set(pruned)
         for prefix in pruned:
-            lp = provider.log_posteriors(prefix, t)
-            candidates = [k for k in range(len(lp)) if k != BLANK and lp[k] > log_theta1]
-            before = prev[prefix]
-            last = prefix[-1] if prefix else None
+            row = provider.log_posteriors(prefix, t)
+            # labels above the theta1 floor; blank is always kept apart
+            candidates = (row > log_theta1).nonzero()[0].tolist()
+            if candidates and candidates[0] == BLANK:
+                del candidates[0]
+            lp = row.tolist()
+            p_b, p_nb, lm_score = prev[prefix]
+            total = _log_add(p_b, p_nb)
 
             # blank keeps the prefix; a final label absent from the local
             # candidate set still continues the non-blank mass in place
-            st = state_for(prefix)
-            st.p_b = _log_add(st.p_b, lp[BLANK] + before.total())
-            if last is not None and last not in candidates:
-                st.p_nb = _log_add(st.p_nb, lp[last] + before.p_nb)
+            rec = cur.get(prefix)
+            if rec is None:
+                rec = cur[prefix] = [NEG_INF, NEG_INF, lm_score]
+            rec[0] = _log_add(rec[0], lp[BLANK] + total)
+            last = prefix[-1] if prefix else None
+            if last is not None and not lp[last] > log_theta1:
+                rec[1] = _log_add(rec[1], lp[last] + p_nb)
 
             for k in candidates:
                 longer = prefix + (k,)
-                st_longer = state_for(longer)
+                # the record `longer` had last frame, if it was scored then
+                earlier = prev.get(longer)
+                rec_longer = cur.get(longer)
+                if rec_longer is None:
+                    lm_longer = (
+                        earlier[2] if earlier is not None
+                        else lm_score + extension_score(prefix, k)
+                    )
+                    rec_longer = cur[longer] = [NEG_INF, NEG_INF, lm_longer]
                 if k == last:
-                    st_longer.p_nb = _log_add(st_longer.p_nb, lp[k] + before.p_b)
-                    st.p_nb = _log_add(st.p_nb, lp[k] + before.p_nb)
+                    rec_longer[1] = _log_add(rec_longer[1], lp[k] + p_b)
+                    rec[1] = _log_add(rec[1], lp[k] + p_nb)
                 else:
-                    st_longer.p_nb = _log_add(st_longer.p_nb, lp[k] + before.total())
-                if longer not in pruned_set and longer in prev_set:
-                    lp_longer = provider.log_posteriors(longer, t)
-                    revived = prev[longer]
-                    st_longer.p_b = _log_add(st_longer.p_b, lp_longer[BLANK] + revived.total())
-                    st_longer.p_nb = _log_add(st_longer.p_nb, lp_longer[k] + revived.p_nb)
+                    rec_longer[1] = _log_add(rec_longer[1], lp[k] + total)
+                if earlier is not None and longer not in pruned_set:
+                    # scored last frame but pruned away: revive its mass
+                    row_longer = provider.log_posteriors(longer, t)
+                    rec_longer[0] = _log_add(
+                        rec_longer[0], float(row_longer[BLANK]) + _log_add(earlier[0], earlier[1])
+                    )
+                    rec_longer[1] = _log_add(rec_longer[1], float(row_longer[k]) + earlier[1])
 
-        scores = {
-            prefix: _asr_score(st, lm, cfg.lm_weight, cfg.insertion_bonus)
-            for prefix, st in cur.items()
-        }
+        scores = {}
+        for prefix, (p_b, p_nb, lm_score) in cur.items():
+            score = _log_add(p_b, p_nb) + weight * lm_score
+            # the insertion bonus counts emitted labels; an empty prefix
+            # takes no bonus rather than the singular 0^beta
+            if bonus != 0.0 and prefix:
+                score += bonus * math.log(len(prefix))
+            scores[prefix] = score
         pruned = prune(cur.keys(), scores, cfg.beam_size, cfg.theta2)
         assert pruned, "pruning emptied the beam despite the forced blank"
-        prev_set = set(cur.keys())
         prev = cur
-        final_scores = scores
 
-    best = min(pruned, key=lambda h: (-final_scores[h], h))
-    return best, float(final_scores[best])
+    best = pruned[0]
+    return best, float(scores[best])
 
 
 def greedy_search(provider: PosteriorProvider, kind: str) -> tuple[int, ...]:

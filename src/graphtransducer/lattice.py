@@ -428,10 +428,18 @@ def _require(cond: bool, message: str, where: str):
         raise LatticeFormatError(message, where=where)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bools, which Python counts as ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def deserialize(text: str) -> Lattice:
     """Parse JSON lattice text; raises :class:`LatticeFormatError` with the
-    offending location on malformed input.  Semantic rules beyond schema and
-    referential integrity are left to :func:`validate`."""
+    offending location on malformed input.  Like :func:`serialize`, it
+    accepts only well-formed lattices: after the schema and referential
+    checks (including edge states below ``states``), the first
+    :func:`validate` violation is raised as a format error, so every
+    lattice it returns can be scored."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -440,9 +448,9 @@ def deserialize(text: str) -> Lattice:
     for key in ("vocab", "states", "nodes", "edges"):
         _require(key in doc, f"missing required field {key!r}", "$")
     vocab = doc["vocab"]
-    _require(isinstance(vocab, int) and vocab >= 1, "must be an integer >= 1", "vocab")
+    _require(_is_int(vocab) and vocab >= 1, "must be an integer >= 1", "vocab")
     states = doc["states"]
-    _require(isinstance(states, int) and states >= 0, "must be an integer >= 0", "states")
+    _require(_is_int(states) and states >= 0, "must be an integer >= 0", "states")
     raw_nodes = doc["nodes"]
     _require(isinstance(raw_nodes, list) and raw_nodes, "must be a non-empty array", "nodes")
 
@@ -451,13 +459,13 @@ def deserialize(text: str) -> Lattice:
     for i, item in enumerate(raw_nodes):
         where = f"nodes[{i}]"
         _require(isinstance(item, dict), "must be an object", where)
-        _require(isinstance(item.get("id"), int), "id must be an integer", f"{where}.id")
+        _require(_is_int(item.get("id")), "id must be an integer", f"{where}.id")
         node_id = item["id"]
         _require(node_id not in by_id, f"duplicate node id {node_id}", f"{where}.id")
         label = item.get("label")
         if label == "blank":
             label = BLANK
-        if isinstance(label, int):
+        if _is_int(label):
             _require(0 <= label < vocab, f"label {label} out of range for vocab {vocab}", f"{where}.label")
         elif label == START:
             n_start += 1
@@ -481,7 +489,7 @@ def deserialize(text: str) -> Lattice:
         where = f"edges[{i}]"
         _require(isinstance(item, dict), "must be an object", where)
         for key in ("from", "to"):
-            _require(isinstance(item.get(key), int), f"{key} must be an integer", f"{where}.{key}")
+            _require(_is_int(item.get(key)), f"{key} must be an integer", f"{where}.{key}")
             _require(item[key] in by_id, f"unknown node id {item[key]}", f"{where}.{key}")
         logw = item.get("logw")
         _require(isinstance(logw, (int, float)) and not isinstance(logw, bool),
@@ -489,12 +497,16 @@ def deserialize(text: str) -> Lattice:
         _require(not (math.isnan(logw) or logw == math.inf),
                  "logw must not be NaN or +Infinity", f"{where}.logw")
         state = item.get("state")
-        _require(state is None or (isinstance(state, int) and state >= 0),
-                 "state must be null or a non-negative integer", f"{where}.state")
+        _require(state is None or (_is_int(state) and 0 <= state < states),
+                 f"state must be null or an integer in 0..{states - 1}", f"{where}.state")
         edges.append(Edge(item["from"], item["to"], float(logw), state))
 
     nodes = tuple(by_id[i] for i in range(len(by_id)))
-    return Lattice(nodes, tuple(edges), num_states=states, vocab_size=vocab)
+    lat = Lattice(nodes, tuple(edges), num_states=states, vocab_size=vocab)
+    violations = validate(lat)
+    if violations:
+        raise LatticeFormatError(violations[0], where="lattice")
+    return lat
 
 
 def to_dot(lat: Lattice) -> str:

@@ -208,10 +208,15 @@ def check_gradients(
     return CheckResult("gradient-check", grad_ok and rows_ok, text)
 
 
-def exhaustive_best_prefix(post: PosteriorTensor) -> tuple[tuple[int, ...], float]:
+def exhaustive_best_prefix(
+    post: PosteriorTensor, lm=None, lm_weight: float = 0.0, insertion_bonus: float = 0.0
+) -> tuple[tuple[int, ...], float]:
     """Argmax label sequence by scoring every candidate's CTC-like lattice
     with the forward algorithm; ties go to the lexicographically smaller
-    sequence.  Exponential in T; for tiny decode oracles only."""
+    sequence.  With an LM, a candidate scores its log marginal plus
+    ``lm_weight * lm.score(labels)`` plus ``insertion_bonus * log(len)``
+    (no bonus for the empty sequence), scored whole rather than one label
+    at a time.  Exponential in T; for tiny decode oracles only."""
     frames, vocab = post.num_frames, post.vocab_size
     best, best_score = None, -math.inf
     candidates = []
@@ -223,6 +228,10 @@ def exhaustive_best_prefix(post: PosteriorTensor) -> tuple[tuple[int, ...], floa
             score = loss.log_marginal(lat, post)
         except InfeasibleLengthError:
             continue
+        if lm is not None:
+            score += lm_weight * lm.score(labels)
+        if insertion_bonus != 0.0 and labels:
+            score += insertion_bonus * math.log(len(labels))
         if score > best_score:
             best, best_score = labels, score
     return best, best_score

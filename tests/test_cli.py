@@ -168,6 +168,18 @@ def test_decode_rejects_vocab_mismatch(tmp_path, capsys):
     assert "vocab" in err
 
 
+@pytest.mark.parametrize("flag", ["--lm-weight", "--insertion-bonus"])
+def test_decode_rejects_non_finite_fusion_weight(tmp_path, capsys, flag):
+    out_dir = tmp_path / "run"
+    run(capsys, "train-toy", "--seed", "1", "--utts", "2", "--max-len", "2",
+        "--steps", "2", "--hidden", "8", "--out", str(out_dir))
+    code, out, err = run(capsys, "decode", "--ckpt", str(out_dir / "model.ckpt"),
+                         "--search", "prefix-beam", flag, "nan")
+    assert code == 3
+    assert "must be finite" in err
+    assert out == ""
+
+
 def test_missing_checkpoint_exit_3(capsys):
     code, _, err = run(capsys, "decode", "--ckpt", "/nonexistent/path.ckpt")
     assert code == 3

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ def tiled(rows, states):
     """One probability row per frame, shared by every decoder state."""
     arr = np.asarray(rows, dtype=float)[:, None, :]
     return tensor_from_probs(np.tile(arr, (1, states, 1)))
+
+
+def ngram_counts(sequences, order):
+    """{context: {label: count}} over every position of every sequence."""
+    counts = {}
+    for seq in sequences:
+        for j, k in enumerate(seq):
+            by_label = counts.setdefault(tuple(seq[max(0, j - order + 1): j]), {})
+            by_label[k] = by_label.get(k, 0) + 1
+    return counts
 
 
 def no_pruning(total_prefixes):
@@ -63,16 +74,35 @@ def test_prune_breaks_ties_lexicographically():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(beam_size=0), dict(theta1=-0.1), dict(theta1=1.0), dict(theta2=0.0), dict(kind="best")],
+    [
+        dict(beam_size=0),
+        dict(theta1=-0.1),
+        dict(theta1=1.0),
+        dict(theta2=0.0),
+        dict(kind="best"),
+        dict(beam_size=2.5),
+        dict(beam_size=True),
+        dict(beam_size="10"),
+        dict(lm_weight=math.nan),
+        dict(lm_weight=math.inf),
+        dict(insertion_bonus=math.inf),
+        dict(insertion_bonus=-math.inf),
+        dict(insertion_bonus=math.nan),
+    ],
 )
 def test_config_invariants(kwargs):
     with pytest.raises(ValueError):
         DecodeConfig(**kwargs)
 
 
+def test_config_accepts_numpy_integer_beam_size():
+    assert DecodeConfig(beam_size=np.int64(4)).beam_size == 4
+
+
 def test_uniform_lm_scores_zero():
     lm = UniformLm()
     assert lm.score(()) == 0.0 and lm.score((1, 2, 3)) == 0.0
+    assert lm.extension_score((), 1) == 0.0 and lm.extension_score((1, 2), 3) == 0.0
 
 
 def test_counts_lm_extension_probabilities_are_proper(tmp_path):
@@ -101,6 +131,34 @@ def test_counts_lm_rejects_malformed_lines(tmp_path):
     path.write_text("\t9\t3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="label 9"):
         CountsLm.load(path, vocab_size=4)
+    path.write_text("1\t2\t0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.tsv:1: count"):
+        CountsLm.load(path, vocab_size=4)
+
+
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        ({(): {0: 2}}, "label 0 outside 1..3"),
+        ({(1,): {4: 1}}, "label 4 outside 1..3"),
+        ({(): {1: 0}}, "count must be positive"),
+        ({(1, 2): {3: -2}}, "count must be positive"),
+    ],
+)
+def test_counts_lm_constructor_rejects_bad_labels_and_counts(counts, match):
+    with pytest.raises(ValueError, match=match):
+        CountsLm(counts, vocab_size=4)
+
+
+def test_counts_lm_score_is_the_running_sum_of_extension_scores():
+    _, lm = fused_case(5)
+    rng = np.random.default_rng(5)
+    for length in range(12):
+        prefix = tuple(int(k) for k in rng.integers(1, 12, length))
+        running = 0.0
+        for j, k in enumerate(prefix):
+            running += lm.extension_score(prefix[:j], k)
+        assert lm.score(prefix) == running  # bit for bit, not approximately
 
 
 # --- greedy -------------------------------------------------------------------
@@ -185,6 +243,64 @@ def test_beam_matches_exhaustive_oracle_unpruned():
         want, want_score = exhaustive_best_prefix(post)
         assert best == want
         assert score == pytest.approx(want_score, abs=1e-9)
+
+
+def test_fused_beam_matches_exhaustive_oracle_unpruned():
+    # every prefix survives, so the search must return the argmax of
+    # marginal + weight * LM + bonus * log(length) over all prefixes, with
+    # the LM scored whole rather than carried one label at a time
+    rng = np.random.default_rng(6)
+    for order in (2, 3):
+        for _ in range(6):
+            frames = int(rng.integers(1, 5))
+            post = PosteriorTensor(rng.normal(0, 1, (frames, frames + 1, 4)))
+            history = [rng.integers(1, 4, 5).tolist() for _ in range(4)]
+            lm = CountsLm(ngram_counts(history, order), vocab_size=4)
+            assert lm.order == order
+            weight, bonus = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0))
+            total = sum(3**n for n in range(frames + 1))
+            cfg = replace(no_pruning(total), lm_weight=weight, insertion_bonus=bonus)
+            best, score = beam_search(TensorPosteriors(post), cfg, lm)
+            want, want_score = exhaustive_best_prefix(post, lm, weight, bonus)
+            assert best == want
+            assert score == pytest.approx(want_score, abs=1e-9)
+
+
+FUSED = DecodeConfig(beam_size=10, theta1=0.01, theta2=10.0, lm_weight=0.5, insertion_bonus=1.0)
+
+
+def fused_case(seed, frames=60, states=16, vocab=12):
+    """Peaky posteriors and an order-3 LM, a small copy of the benchmark's
+    fused decode: the theta1 floor, the cap P and revival all act."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, 1.0, (frames, states, vocab))
+    logits[np.arange(frames), :, rng.integers(0, vocab, frames)] += 4.0
+    history = [rng.integers(1, vocab, 20).tolist() for _ in range(30)]
+    return TensorPosteriors(PosteriorTensor(logits)), CountsLm(ngram_counts(history, 3), vocab)
+
+
+# results of the search that rescored every prefix's LM from scratch each frame
+PINNED = [
+    (0, 10.0, (2, 11, 2, 10, 9, 8, 3, 7, 9, 3, 4, 8, 5, 2, 7, 1, 11, 5, 8, 9, 8, 3, 9, 10, 3, 9,
+               6, 9, 7, 11, 5, 7, 11, 10, 9, 7, 11, 5, 7, 9, 11, 1, 5, 1, 6, 10),
+     -76.10130431689842),
+    (1, 10.0, (8, 1, 2, 4, 10, 7, 4, 1, 9, 8, 6, 11, 8, 4, 10, 8, 1, 5, 11, 8, 2, 6, 11, 7, 10,
+               9, 2, 5, 9, 3, 8, 3, 1, 8, 2, 10, 4, 9, 1, 3, 10, 6, 1, 8, 2, 5, 8, 4),
+     -74.8909316463516),
+    (2, 10.0, (5, 10, 6, 1, 7, 10, 6, 4, 7, 2, 2, 7, 11, 2, 3, 1, 6, 5, 3, 2, 5, 4, 2, 7, 11, 6,
+               4, 3, 10, 7, 3, 10, 11, 5, 11, 2, 7, 3, 11, 8, 4, 6, 5, 10, 9, 11, 5, 1),
+     -77.71541327168117),
+    # a narrow theta2 so the score-width cut acts too
+    (1, 3.0, (8, 1, 2, 4, 10, 7, 4, 1, 9, 8, 6, 11, 8, 4, 10, 8, 1, 5, 11, 8, 2, 6, 11, 7, 10,
+              9, 2, 5, 9, 3, 8, 3, 1, 8, 2, 10, 4, 9, 1, 3, 10, 6, 1, 8, 2, 5, 8, 4),
+     -74.8913983155548),
+]
+
+
+@pytest.mark.parametrize("seed, theta2, want, want_score", PINNED)
+def test_fused_pruned_search_is_pinned(seed, theta2, want, want_score):
+    provider, lm = fused_case(seed)
+    assert beam_search(provider, replace(FUSED, theta2=theta2), lm) == (want, want_score)
 
 
 def test_widening_the_beam_never_lowers_the_best_score():

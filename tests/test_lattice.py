@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +11,19 @@ from graphtransducer import (
     CTC_LIKE,
     MONO_RNNT,
     Edge,
+    InfeasibleLengthError,
     InvalidSpecError,
     Lattice,
     LatticeFormatError,
     Node,
+    PosteriorTensor,
     TopologySpec,
     build_ctc_like_graph,
     build_lattice,
     build_monornnt_graph,
     deserialize,
     enumerate_paths,
+    log_marginal,
     serialize,
     to_dot,
     validate,
@@ -310,6 +314,86 @@ def test_deserialize_rejects_nan_and_positive_infinite_weight(weight, token):
     with pytest.raises(LatticeFormatError) as info:
         deserialize(text)
     assert info.value.where == "edges[2].logw"
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("states",), True, "states"),
+        (("vocab",), True, "vocab"),
+        (("nodes", 1, "id"), True, "nodes[1].id"),
+        (("edges", 0, "to"), False, "edges[0].to"),
+        (("edges", 0, "state"), 3, "edges[0].state"),  # the lattice declares 3 states
+    ],
+)
+def test_deserialize_rejects_bools_and_undeclared_states(path, value, where):
+    doc = json.loads(serialize(build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), 3))))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(LatticeFormatError) as info:
+        deserialize(json.dumps(doc))
+    assert info.value.where == where
+
+
+def test_deserialize_rejects_what_validate_rejects():
+    doc = json.loads(serialize(build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))))
+    doc["edges"][0]["state"] = None  # an emitting edge without a decoder state
+    with pytest.raises(LatticeFormatError, match="end-edge") as info:
+        deserialize(json.dumps(doc))
+    assert info.value.where == "lattice"
+
+
+FUZZ_BASES = [
+    serialize(build_lattice(TopologySpec(kind, labels, 3)))
+    for kind in (CTC_LIKE, MONO_RNNT)
+    for labels in ((1,), (1, 2), (2, 2))
+]
+FUZZ_JUNK = [None, "x", "blank", "start", "end", [], {}, True, 1.5, -1, 0, 2**40]
+
+
+@st.composite
+def mutated_lattice_text(draw):
+    """serialize output with one to four keys dropped, retyped, or given a
+    new index or weight, anywhere in the document."""
+    doc = json.loads(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 4))):
+        target = doc
+        part = draw(st.sampled_from(["nodes", "edges", None]))
+        items = doc.get(part)
+        if isinstance(items, list) and items:
+            target = items[draw(st.integers(0, len(items) - 1))]
+        if not isinstance(target, dict) or not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        change = draw(st.sampled_from(["drop", "retype", "index", "weight"]))
+        if change == "drop":
+            del target[key]
+        elif change == "retype":
+            target[key] = draw(st.sampled_from(FUZZ_JUNK))
+        elif change == "index":
+            target[key] = draw(st.integers(-2, 12))
+        else:
+            target[key] = draw(st.floats())
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(text=mutated_lattice_text(), frames=st.integers(1, 6))
+def test_deserialize_fuzz_yields_format_error_or_scorable_lattice(text, frames):
+    try:
+        lat = deserialize(text)
+    except LatticeFormatError:
+        return
+    # a tensor just large enough for the states and labels the edges use
+    states = 1 + max((e.state for e in lat.edges if e.state is not None), default=0)
+    vocab = 1 + max((n.label for n in lat.nodes if isinstance(n.label, int)), default=0)
+    post = PosteriorTensor(np.zeros((frames, states, max(vocab, 2))))
+    try:
+        assert math.isfinite(log_marginal(lat, post))
+    except InfeasibleLengthError:
+        pass
 
 
 def test_dot_output_shape():
