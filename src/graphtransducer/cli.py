@@ -31,9 +31,20 @@ from .model import (
 PASS, FAIL, USAGE_ERROR, DATA_ERROR = 0, 1, 2, 3
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1; got {text!r}")
+    return value
+
+
 def _add_case_flags(p: argparse.ArgumentParser, max_t: int, max_u: int, vocab: int, cases: int):
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--cases", type=int, default=cases, help=f"number of random cases (default {cases})")
+    p.add_argument("--cases", type=_count, default=cases, help=f"number of random cases (default {cases})")
     p.add_argument("--topology", choices=TOPOLOGIES, default=CTC_LIKE)
     p.add_argument("--max-t", type=int, default=max_t, help="largest frame count to sample")
     p.add_argument("--max-u", type=int, default=max_u, help="longest label sequence to sample")
@@ -58,12 +69,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="train the toy model on a synthetic task")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--topology", choices=TOPOLOGIES, default=CTC_LIKE)
-    p.add_argument("--utts", type=int, default=20, help="synthetic utterance count")
+    p.add_argument("--utts", type=_count, default=20, help="synthetic utterance count")
     p.add_argument("--vocab", type=int, default=6)
     p.add_argument("--max-len", type=int, default=5, help="longest label sequence")
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--steps", type=_count, default=500)
     p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--hidden", type=int, default=32)
+    p.add_argument("--hidden", type=_count, default=32)
     p.add_argument("--out", required=True, help="output directory for checkpoint and loss curve")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
 
@@ -71,7 +82,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True, help="toy-model checkpoint")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--topology", choices=TOPOLOGIES, default=CTC_LIKE)
-    p.add_argument("--utts", type=int, default=20)
+    p.add_argument("--utts", type=_count, default=20)
     p.add_argument("--vocab", type=int, default=6)
     p.add_argument("--max-len", type=int, default=5)
     p.add_argument("--search", choices=(GREEDY, PREFIX_BEAM), default=GREEDY)
@@ -110,11 +121,12 @@ def _cmd_check_oracle(args) -> int:
         f"# check-oracle seed={args.seed} cases={args.cases} topology={args.topology} "
         f"max_t={args.max_t} max_u={args.max_u} vocab={args.vocab}"
     )
+    oracle_match, normalization = verify.check_marginal_oracle(
+        args.seed, args.cases, max_t=args.max_t, max_u=args.max_u, vocab=args.vocab,
+        topologies=(args.topology,),
+    )
     results = [
-        verify.check_marginal_oracle(
-            args.seed, args.cases, max_t=args.max_t, max_u=args.max_u, vocab=args.vocab,
-            topologies=(args.topology,),
-        ),
+        oracle_match,
         verify.check_t_invariance(
             args.seed, min(args.cases, 32), max_t=max(args.max_t, 2), max_u=args.max_u,
             vocab=args.vocab, topologies=(args.topology,),
@@ -125,10 +137,7 @@ def _cmd_check_oracle(args) -> int:
         verify.check_monornnt_reduction(
             args.seed, min(args.cases, 100), max_t=args.max_t, max_u=args.max_u, vocab=args.vocab
         ),
-        verify.check_normalization(
-            args.seed, args.cases, max_t=args.max_t, max_u=args.max_u, vocab=args.vocab,
-            topologies=(args.topology,),
-        ),
+        normalization,
     ]
     for result in results:
         print(result.text)
@@ -179,10 +188,6 @@ def _cmd_decode(args) -> int:
         )
     data = make_synthetic_task(args.seed, args.utts, args.vocab, args.max_len)
     lm = CountsLm.load(args.lm_counts, args.vocab) if args.lm_counts else UniformLm()
-    cfg = DecodeConfig(
-        beam_size=args.beam, theta1=args.theta1, theta2=args.theta2,
-        lm_weight=args.lm_weight, insertion_bonus=args.insertion_bonus, kind=PREFIX_BEAM,
-    )
     print(
         f"# decode seed={args.seed} utts={args.utts} vocab={args.vocab} max_len={args.max_len} "
         f"topology={args.topology} search={args.search} beam={args.beam} theta1={args.theta1:g} "
@@ -197,7 +202,7 @@ def _cmd_decode(args) -> int:
         if args.search == PREFIX_BEAM:
             if args.topology != CTC_LIKE:
                 raise ValueError("prefix beam search is defined for the ctc-like topology only")
-            hyp, _ = beam_search(provider, cfg, lm)
+            hyp, _ = beam_search(provider, args.config, lm)
             beam_lp = sequence_score(model, utt, hyp, args.topology)
             greedy_lp = sequence_score(model, utt, greedy_hyp, args.topology)
             extra = f" beam_logp={beam_lp:.9g} greedy_logp={greedy_lp:.9g}"
@@ -240,8 +245,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    parser = _parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "decode":
+            # DecodeConfig owns the search flags' rules; breaking one is a
+            # usage error, reported before any file is read
+            try:
+                args.config = DecodeConfig(
+                    beam_size=args.beam, theta1=args.theta1, theta2=args.theta2,
+                    lm_weight=args.lm_weight, insertion_bonus=args.insertion_bonus,
+                    kind=PREFIX_BEAM,
+                )
+            except ValueError as exc:
+                parser.error(str(exc))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else PASS
     started = time.perf_counter()

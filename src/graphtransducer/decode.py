@@ -20,8 +20,8 @@ from typing import Iterable, Mapping, Protocol
 import numpy as np
 
 from .lattice import BLANK, CTC_LIKE, TOPOLOGIES
-from .model import ToyModel
-from .posteriors import PosteriorTensor
+from .model import ToyModel, _encode
+from .posteriors import PosteriorTensor, _logsumexp
 
 NEG_INF = float("-inf")
 
@@ -73,23 +73,20 @@ class ModelPosteriors:
     frame with a table lookup."""
 
     def __init__(self, model: ToyModel, features: np.ndarray):
-        feats = np.asarray(features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != model.feat_dim:
-            raise ValueError(f"features must have shape (T, {model.feat_dim}); got {feats.shape}")
         self._model = model
-        self._pre = feats @ model.enc_w.T + model.bias  # (T, H)
+        _, self._pre = _encode(model, features)  # (T, H)
         self._cache: dict[int, np.ndarray] = {}
-        self.num_frames = feats.shape[0]
+        self.num_frames = self._pre.shape[0]
         self.vocab_size = model.vocab_size
 
     def log_posteriors(self, prefix: tuple[int, ...], t: int) -> np.ndarray:
         last = prefix[-1] if prefix else 0
         lp = self._cache.get(last)
         if lp is None:
+            # a (T, H) product: the (T, 1, H) one inside forward_logits
+            # rounds differently in the last bits
             logits = np.tanh(self._pre + self._model.embed[last]) @ self._model.join_w.T
-            peak = logits.max(axis=-1, keepdims=True)
-            lp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=-1, keepdims=True)))
-            self._cache[last] = lp
+            lp = self._cache[last] = logits - _logsumexp(logits)
         return lp[t - 1]
 
 

@@ -204,21 +204,28 @@ class Lattice:
     @cached_property
     def min_emissions(self) -> int:
         """Fewest emitting steps on any start-to-end path."""
-        succ = defaultdict(list)
-        for s, d in zip(self.emit.src, self.emit.dst):
-            succ[int(s)].append(int(d))
-        dist = {self.start_id: 0}
-        queue = deque([self.start_id])
-        while queue:
-            g = queue.popleft()
-            for h in succ[g]:
-                if h not in dist:
-                    dist[h] = dist[g] + 1
-                    queue.append(h)
+        dist = _bfs_layers(zip(self.emit.src.tolist(), self.emit.dst.tolist()), self.start_id)
         finishers = [dist[int(s)] for s in self.final.src if int(s) in dist]
         if not finishers:
             raise ValueError("end node is unreachable from start")
         return min(finishers)
+
+
+def _bfs_layers(arcs, source: int) -> dict[int, int]:
+    """Breadth-first layer of every node reachable from ``source`` along
+    the (from, to) pairs in ``arcs``."""
+    succ = defaultdict(list)
+    for a, b in arcs:
+        succ[a].append(b)
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        g = queue.popleft()
+        for h in succ[g]:
+            if h not in dist:
+                dist[h] = dist[g] + 1
+                queue.append(h)
+    return dist
 
 
 def build_ctc_like_graph(spec: TopologySpec) -> Lattice:
@@ -320,21 +327,12 @@ def validate(lat: Lattice) -> list[str]:
         out.append(f"id-ordering: end node must have the largest id {n - 1}, has id {ends[0]}")
 
     succ = defaultdict(list)
-    pred = defaultdict(list)
     for e in lat.edges:
         succ[e.src].append(e)
-        pred[e.dst].append(e)
 
     # Breadth-first ordering: node ids must be non-decreasing in BFS layer.
     if len(starts) == 1:
-        dist = {starts[0]: 0}
-        queue = deque([starts[0]])
-        while queue:
-            g = queue.popleft()
-            for e in succ[g]:
-                if e.dst not in dist:
-                    dist[e.dst] = dist[g] + 1
-                    queue.append(e.dst)
+        dist = _bfs_layers(((e.src, e.dst) for e in lat.edges), starts[0])
         deepest = -1
         for node in lat.nodes:
             if node.id not in dist:
@@ -374,26 +372,11 @@ def validate(lat: Lattice) -> list[str]:
             out.append(f"end-edge: emitting edge {e.src}->{e.dst} carries no decoder state")
 
     if len(starts) == 1:
-        reached = {starts[0]}
-        queue = deque(reached)
-        while queue:
-            g = queue.popleft()
-            for e in succ[g]:
-                if e.dst not in reached:
-                    reached.add(e.dst)
-                    queue.append(e.dst)
         for node in lat.nodes:
-            if node.id not in reached:
+            if node.id not in dist:
                 out.append(f"reachability: node {node.id} is unreachable from start")
     if len(ends) == 1:
-        coreach = {ends[0]}
-        queue = deque(coreach)
-        while queue:
-            g = queue.popleft()
-            for e in pred[g]:
-                if e.src not in coreach:
-                    coreach.add(e.src)
-                    queue.append(e.src)
+        coreach = _bfs_layers(((e.dst, e.src) for e in lat.edges), ends[0])
         for node in lat.nodes:
             if node.id not in coreach:
                 out.append(f"reachability: node {node.id} cannot reach the end node")

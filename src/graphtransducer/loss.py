@@ -9,6 +9,15 @@ underflows double precision otherwise.
 
 Every operation is a pure function of its arguments, so distinct
 utterances can be processed concurrently and lattices reused freely.
+
+The entry points take any :class:`Lattice` that constructs; they do not
+run :func:`~graphtransducer.lattice.validate`, which governs
+serialization.  The path sum is exact on any graph: determinism, state
+consistency and id order matter only to what the sum means (the bound
+P <= 1 needs the first two).  An emitting edge without a decoder state
+raises ``ValueError``, as does a state or label outside the tensor.
+Validating on every call would add a Python pass over all edges to each
+training utterance.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice
-from .posteriors import PosteriorTensor
+from .posteriors import PosteriorTensor, _logsumexp
 
 NEG_INF = float("-inf")
 
@@ -119,11 +128,18 @@ def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     -inf and the loss entry point reports infeasibility.
     """
     _check_compat(lat, post)
-    return _forward(lat, post.logprobs, _backward_reachable(lat, post.num_frames))
+    alpha = _forward(lat, post.logprobs)
+    alpha[1:][~_backward_reachable(lat, post.num_frames)[1:]] = NEG_INF
+    return alpha
 
 
-def _forward(lat: Lattice, lp: np.ndarray, completable: np.ndarray) -> np.ndarray:
-    """:func:`forward_vars` given ``completable = _backward_reachable(...)``."""
+def _forward(lat: Lattice, lp: np.ndarray) -> np.ndarray:
+    """:func:`forward_vars` without the mask on cells that cannot complete.
+
+    Such cells feed only cells that cannot complete either, so they never
+    reach the final nodes of the terminal row; and an edge occupancy that
+    starts at one pairs it with a -inf logBeta, so it comes out 0 anyway.
+    """
     frames = lp.shape[0]
     n = len(lat.nodes)
     em = lat.emit
@@ -131,9 +147,7 @@ def _forward(lat: Lattice, lp: np.ndarray, completable: np.ndarray) -> np.ndarra
     alpha[0, lat.start_id] = 0.0
     for t in range(1, frames + 1):
         scores = alpha[t - 1, em.src] + em.log_weight + lp[t - 1, em.state, em.label]
-        row = _scatter_logsumexp(scores, em.dst, n)
-        row[~completable[t]] = NEG_INF
-        alpha[t] = row
+        alpha[t] = _scatter_logsumexp(scores, em.dst, n)
     return alpha
 
 
@@ -174,41 +188,24 @@ def marginal(
     if not 1 <= t <= frames:
         raise ValueError(f"frame index t={t} outside 1..{frames}")
     em = lat.emit
-    if em.src.size == 0:
-        return NEG_INF
     lp = post.logprobs
     scores = alpha[t - 1, em.src] + em.log_weight + lp[t - 1, em.state, em.label] + beta[t, em.dst]
-    peak = scores.max()
-    if peak == NEG_INF:
-        return NEG_INF
-    return float(peak + np.log(np.exp(scores - peak).sum()))
-
-
-def _terminal_log_marginal(lat: Lattice, alpha: np.ndarray) -> float:
-    scores = alpha[-1, lat.final.src] + lat.final.log_weight
-    if scores.size == 0:
-        return NEG_INF
-    peak = scores.max()
-    if peak == NEG_INF:
-        return NEG_INF
-    return float(peak + np.log(np.exp(scores - peak).sum()))
+    return float(_logsumexp(scores)[0])
 
 
 def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     """Log of the total alignment probability; raises
-    :class:`InfeasibleLengthError` when no alignment of length T exists."""
+    :class:`InfeasibleLengthError` when it is -inf, that is when no
+    alignment of length T exists or every one crosses a zero-weight edge."""
     _check_compat(lat, post)
-    completable = _require_feasible(lat, post.num_frames)
-    return _terminal_log_marginal(lat, _forward(lat, post.logprobs, completable))
+    return _terminal_log_marginal(lat, _forward(lat, post.logprobs), post.num_frames)
 
 
-def _require_feasible(lat: Lattice, frames: int) -> np.ndarray:
-    """:func:`_backward_reachable` for ``frames``, after checking that the
-    start node can finish in exactly that many emissions."""
-    completable = _backward_reachable(lat, frames)
-    if not completable[0, lat.start_id]:
+def _terminal_log_marginal(lat: Lattice, alpha: np.ndarray, frames: int) -> float:
+    logp = float(_logsumexp(alpha[-1, lat.final.src] + lat.final.log_weight)[0])
+    if logp == NEG_INF:
         raise InfeasibleLengthError(frames, lat.min_emissions)
-    return completable
+    return logp
 
 
 def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
@@ -230,17 +227,13 @@ def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
     Only the forward and backward recursions loop over frames.
     """
     _check_compat(lat, post)
-    frames = post.num_frames
-    completable = _require_feasible(lat, frames)
     n_states, vocab = post.num_states, post.vocab_size
     em = lat.emit
     lp = post.logprobs
 
-    alpha = _forward(lat, lp, completable)
+    alpha = _forward(lat, lp)
+    logp = _terminal_log_marginal(lat, alpha, post.num_frames)
     beta = _backward(lat, lp)
-    logp = _terminal_log_marginal(lat, alpha)
-    if logp == NEG_INF:
-        raise InfeasibleLengthError(frames, lat.min_emissions)
 
     # occ[t - 1, e], built in place so no (T, E) temporary outlives its line
     occ = alpha[:-1, em.src]

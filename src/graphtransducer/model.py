@@ -61,17 +61,28 @@ def _state_embedding_indices(labels: tuple[int, ...]) -> np.ndarray:
     return np.asarray((0,) + tuple(labels), dtype=np.int64)
 
 
-def forward_logits(model: ToyModel, utt: Utterance) -> np.ndarray:
-    """Logits of shape (T, U + 1, vocab) for the utterance's decoder states."""
-    feats = np.asarray(utt.features, dtype=np.float64)
+def _encode(model: ToyModel, features) -> tuple[np.ndarray, np.ndarray]:
+    """The features as a float64 (T, feat_dim) array, after checking their
+    shape, and the encoder pre-activation ``enc_w @ x_t + bias`` (T, hidden)."""
+    feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != model.feat_dim:
         raise ValueError(
             f"features must have shape (T, {model.feat_dim}); got {feats.shape}"
         )
+    return feats, feats @ model.enc_w.T + model.bias
+
+
+def _activations(model: ToyModel, utt: Utterance):
+    """The checked features, each decoder state's embedding row and the
+    joiner input ``tanh(pre + embed[row])`` of shape (T, U + 1, hidden)."""
+    feats, pre = _encode(model, utt.features)
     idx = _state_embedding_indices(utt.labels)
-    pre = feats @ model.enc_w.T + model.bias  # (T, H)
-    act = np.tanh(pre[:, None, :] + model.embed[idx][None, :, :])  # (T, I, H)
-    return act @ model.join_w.T
+    return feats, idx, np.tanh(pre[:, None, :] + model.embed[idx][None, :, :])
+
+
+def forward_logits(model: ToyModel, utt: Utterance) -> np.ndarray:
+    """Logits of shape (T, U + 1, vocab) for the utterance's decoder states."""
+    return _activations(model, utt)[2] @ model.join_w.T
 
 
 def utterance_loss(model: ToyModel, utt: Utterance, kind: str) -> float:
@@ -82,14 +93,9 @@ def utterance_loss(model: ToyModel, utt: Utterance, kind: str) -> float:
 
 
 def _utterance_grads(model: ToyModel, utt: Utterance, kind: str):
-    feats = np.asarray(utt.features, dtype=np.float64)
-    idx = _state_embedding_indices(utt.labels)
-    pre = feats @ model.enc_w.T + model.bias
-    act = np.tanh(pre[:, None, :] + model.embed[idx][None, :, :])
-    logits = act @ model.join_w.T
-
+    feats, idx, act = _activations(model, utt)
     lat = build_lattice(TopologySpec(kind, utt.labels, model.vocab_size))
-    result = loss_and_grad(lat, PosteriorTensor(logits))
+    result = loss_and_grad(lat, PosteriorTensor(act @ model.join_w.T))
     d_logits = result.grad  # (T, I, K)
 
     d_act = d_logits @ model.join_w  # (T, I, H)
@@ -129,20 +135,11 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     return float(np.mean(losses))
 
 
-def greedy_labels(model: ToyModel, utt: Utterance, kind: str) -> tuple[int, ...]:
-    """Greedy decode of one utterance (convenience wrapper)."""
-    from .decode import ModelPosteriors, greedy_search
-
-    return greedy_search(ModelPosteriors(model, utt.features), kind)
-
-
 def sequence_score(model: ToyModel, utt: Utterance, labels: tuple[int, ...], kind: str) -> float:
     """Log marginal of an arbitrary label sequence under the model's
     posteriors for this utterance; -inf when the sequence is infeasible."""
     try:
-        lat = build_lattice(TopologySpec(kind, labels, model.vocab_size))
-        post = PosteriorTensor(forward_logits(model, Utterance(utt.features, tuple(labels))))
-        return log_marginal(lat, post)
+        return -utterance_loss(model, Utterance(utt.features, tuple(labels)), kind)
     except InfeasibleLengthError:
         return float("-inf")
 

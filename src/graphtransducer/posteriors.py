@@ -11,6 +11,21 @@ import numpy as np
 TENSOR_MAGIC = b"GTCT"
 TENSOR_VERSION = 1
 
+NEG_INF = float("-inf")
+
+
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis, which is kept with length 1.
+
+    The row peak is shifted out first, so large magnitudes neither
+    overflow nor underflow; a row that is empty or all -inf gives -inf
+    without a floating-point warning.
+    """
+    peak = np.max(x, axis=-1, keepdims=True, initial=NEG_INF)
+    peak[peak == NEG_INF] = 0.0  # exp(-inf - -inf) would be NaN
+    total = np.exp(x - peak).sum(axis=-1, keepdims=True)
+    return peak + np.log(total, out=np.full_like(total, NEG_INF), where=total > 0.0)
+
 
 class PosteriorTensor:
     """Label scores indexed (frame t, decoder state i, label k).
@@ -30,8 +45,7 @@ class PosteriorTensor:
         if not np.all(np.isfinite(logits)):
             raise ValueError("logits must be finite")
         self.logits = logits
-        m = logits.max(axis=-1, keepdims=True)
-        self.logprobs = logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
+        self.logprobs = logits - _logsumexp(logits)
 
     @property
     def num_frames(self) -> int:

@@ -175,9 +175,34 @@ def test_decode_rejects_non_finite_fusion_weight(tmp_path, capsys, flag):
         "--steps", "2", "--hidden", "8", "--out", str(out_dir))
     code, out, err = run(capsys, "decode", "--ckpt", str(out_dir / "model.ckpt"),
                          "--search", "prefix-beam", flag, "nan")
-    assert code == 3
+    assert code == 2
     assert "must be finite" in err
     assert out == ""
+
+
+DECODE = ["decode", "--ckpt", "{tmp}/none.ckpt"]
+TRAIN = ["train-toy", "--out", "{tmp}/out"]
+
+
+# decode gets a checkpoint that does not exist and train-toy an output
+# directory it must not create: the bad flag has to fail first
+@pytest.mark.parametrize("argv, message", [
+    (DECODE + ["--beam", "0"], "beam_size must be >= 1"),
+    (DECODE + ["--lm-weight", "nan"], "lm_weight must be finite"),
+    (DECODE + ["--theta1", "1"], "theta1 must lie in [0, 1)"),
+    (DECODE + ["--utts", "0"], "argument --utts: must be an integer >= 1"),
+    (TRAIN + ["--steps", "0"], "argument --steps: must be an integer >= 1"),
+    (TRAIN + ["--utts", "0"], "argument --utts: must be an integer >= 1"),
+    (TRAIN + ["--hidden", "-3"], "argument --hidden: must be an integer >= 1"),
+    (["check-grad", "--cases", "0"], "argument --cases: must be an integer >= 1"),
+    (["check-oracle", "--cases", "0"], "argument --cases: must be an integer >= 1"),
+])
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_checkpoint_exit_3(capsys):

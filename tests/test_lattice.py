@@ -239,6 +239,34 @@ def test_validate_reports_misplaced_endpoints():
     assert any("end node must have the largest id" in v for v in problems)
 
 
+def test_validate_reports_every_violation_in_rule_order():
+    lat = tiny(
+        [Node(0, 1), Node(1, "start"), Node(2, 2), Node(3, "end"), Node(4, 1), Node(5, 0)],
+        [
+            Edge(1, 0, 0.0, 0),
+            Edge(1, 4, 0.0, 1),
+            Edge(0, 3, 0.0, 2),
+            Edge(4, 2, 0.0, None),
+            Edge(2, 3, 0.0, None),
+            Edge(5, 5, 0.0, 0),
+        ],
+        states=3,
+        vocab=3,
+    )
+    assert validate(lat) == [
+        "id-ordering: start node must have id 0, has id 1",
+        "id-ordering: end node must have the largest id 5, has id 3",
+        "id-ordering: node 1 sits in BFS layer 0 but a smaller id already reached layer 1",
+        "id-ordering: node 4 sits in BFS layer 1 but a smaller id already reached layer 2",
+        "determinism: node 1 has multiple outgoing edges emitting label 1",
+        "state-consistency: node 1 outgoing edges use states [0, 1]",
+        "end-edge: edge 0->3 into the end node must not carry a state",
+        "end-edge: emitting edge 4->2 carries no decoder state",
+        "reachability: node 5 is unreachable from start",
+        "reachability: node 5 cannot reach the end node",
+    ]
+
+
 def test_lattice_constructor_enforces_referential_integrity():
     with pytest.raises(ValueError, match="unknown node id"):
         tiny([Node(0, "start"), Node(1, "end")], [Edge(0, 5, 0.0, 0)])
@@ -410,3 +438,10 @@ def test_min_emissions():
     assert build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 1), 2)).min_emissions == 3
     assert build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 1), 2)).min_emissions == 2
     assert build_ctc_like_graph(TopologySpec(CTC_LIKE, (), 2)).min_emissions == 1
+    # only the unreachable node 2 has an edge into the end node
+    cut = tiny(
+        [Node(0, "start"), Node(1, 1), Node(2, 1), Node(3, "end")],
+        [Edge(0, 1, 0.0, 0), Edge(2, 3, 0.0, None)],
+    )
+    with pytest.raises(ValueError, match="end node is unreachable from start"):
+        cut.min_emissions

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphtransducer import (
+    BLANK,
     CTC_LIKE,
     MONO_RNNT,
     Edge,
@@ -13,6 +14,7 @@ from graphtransducer import (
     PosteriorTensor,
     TopologySpec,
     backward_vars,
+    brute_force_marginal,
     build_ctc_like_graph,
     build_lattice,
     build_monornnt_graph,
@@ -24,8 +26,9 @@ from graphtransducer import (
     reference_ctc,
     reference_monornnt,
     serialize,
+    validate,
 )
-from graphtransducer.verify import FD_STEP, GRAD_TOL, random_case
+from graphtransducer.verify import FD_STEP, GRAD_TOL, ORACLE_TOL, random_case
 
 NEG_INF = float("-inf")
 
@@ -241,10 +244,53 @@ def test_zero_weight_edge_gives_finite_loss_or_infeasible():
             try:
                 result = loss_and_grad(lat, post)
             except InfeasibleLengthError:
+                # log_marginal raises exactly when loss_and_grad does,
+                # including when every path crosses the cut edge
+                with pytest.raises(InfeasibleLengthError):
+                    log_marginal(lat, post)
                 continue
             assert np.isfinite(result.loss)
             assert np.all(np.isfinite(result.grad))
             assert result.log_marginal == pytest.approx(log_marginal(lat, post), abs=1e-12)
+
+
+def test_loss_accepts_lattice_that_validate_rejects():
+    # two start edges emit label 1, so validate reports a determinism
+    # violation; the loss still sums every path exactly
+    lat = Lattice(
+        (Node(0, "start"), Node(1, 1), Node(2, 1), Node(3, BLANK), Node(4, "end")),
+        (
+            Edge(0, 1, 0.0, 0),
+            Edge(0, 2, -0.5, 0),
+            Edge(1, 3, 0.0, 1),
+            Edge(2, 2, 0.0, 1),
+            Edge(2, 3, -1.0, 1),
+            Edge(3, 3, 0.0, 2),
+            Edge(1, 4, 0.0, None),
+            Edge(3, 4, -0.25, None),
+        ),
+        num_states=3,
+        vocab_size=3,
+    )
+    assert any(v.startswith("determinism:") for v in validate(lat))
+    for frames in (1, 2, 4):
+        post = rand_post(20 + frames, frames, 3, 3)
+        assert log_marginal(lat, post) == pytest.approx(
+            brute_force_marginal(lat, post), abs=ORACLE_TOL
+        )
+
+
+def test_emitting_edge_without_state_is_an_error():
+    lat = Lattice(
+        (Node(0, "start"), Node(1, 1), Node(2, "end")),
+        (Edge(0, 1, 0.0, None), Edge(1, 2, 0.0, None)),
+        num_states=1,
+        vocab_size=3,
+    )
+    post = rand_post(24, 2, 1, 3)
+    for entry in (log_marginal, loss_and_grad):
+        with pytest.raises(ValueError, match="carries no decoder state"):
+            entry(lat, post)
 
 
 def log_softmax(logits):

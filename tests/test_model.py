@@ -4,16 +4,18 @@ import pytest
 from graphtransducer import (
     CTC_LIKE,
     MONO_RNNT,
+    ModelPosteriors,
+    PosteriorTensor,
     ToyModel,
     Utterance,
     forward_logits,
+    greedy_search,
     load_model,
     make_synthetic_task,
     save_model,
     train_step,
     utterance_loss,
 )
-from graphtransducer.model import greedy_labels
 
 
 def clone(model: ToyModel) -> ToyModel:
@@ -51,6 +53,22 @@ def test_feature_dim_mismatch_raises():
     m = ToyModel(4, 8, 5, seed=0)
     with pytest.raises(ValueError, match="features"):
         forward_logits(m, Utterance(np.zeros((3, 5)), (1,)))
+    with pytest.raises(ValueError, match="features"):
+        ModelPosteriors(m, np.zeros((3, 5)))
+
+
+def test_model_posteriors_match_forward_logits():
+    # ModelPosteriors keeps one table per last label; the order-1 predictor
+    # makes that exact, so (1, 3, 4, 2) reuses the table that (2,) built
+    m = ToyModel(4, 8, 5, seed=3)
+    feats = np.random.default_rng(4).normal(0, 1, (6, 4))
+    provider = ModelPosteriors(m, feats)
+    for prefix in [(), (2,), (1, 3, 4, 2)]:
+        full = PosteriorTensor(forward_logits(m, Utterance(feats, prefix))).logprobs
+        for t in range(1, 7):
+            np.testing.assert_allclose(
+                provider.log_posteriors(prefix, t), full[t - 1, len(prefix)], rtol=0, atol=1e-12
+            )
 
 
 def test_synthetic_task_is_deterministic():
@@ -171,7 +189,9 @@ def test_greedy_labels_on_trained_model():
     m = ToyModel(6, 32, 6, lr=0.3, seed=7)
     for _ in range(150):
         train_step(m, data, CTC_LIKE)
-    hits = sum(greedy_labels(m, utt, CTC_LIKE) == utt.labels for utt in data)
+    hits = sum(
+        greedy_search(ModelPosteriors(m, utt.features), CTC_LIKE) == utt.labels for utt in data
+    )
     assert hits >= 4
 
 
