@@ -31,24 +31,44 @@ from .model import (
 PASS, FAIL, USAGE_ERROR, DATA_ERROR = 0, 1, 2, 3
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1; got {text!r}")
-    return value
+def _count(minimum: int = 1):
+    """argparse type of a count flag: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}; got {text!r}")
+        return value
+
+    return parse
+
+
+def _number(positive: bool = False):
+    """argparse type of a float flag: finite, and above 0 if ``positive``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            kind = "a positive finite" if positive else "a finite"
+            raise argparse.ArgumentTypeError(f"must be {kind} number; got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_case_flags(p: argparse.ArgumentParser, max_t: int, max_u: int, vocab: int, cases: int):
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--cases", type=_count, default=cases, help=f"number of random cases (default {cases})")
+    p.add_argument("--cases", type=_count(), default=cases, help=f"number of random cases (default {cases})")
     p.add_argument("--topology", choices=TOPOLOGIES, default=CTC_LIKE)
-    p.add_argument("--max-t", type=int, default=max_t, help="largest frame count to sample")
-    p.add_argument("--max-u", type=int, default=max_u, help="longest label sequence to sample")
-    p.add_argument("--vocab", type=int, default=vocab, help="label vocabulary size incl. blank")
+    p.add_argument("--max-t", type=_count(), default=max_t, help="largest frame count to sample")
+    p.add_argument("--max-u", type=_count(0), default=max_u, help="longest label sequence to sample")
+    p.add_argument("--vocab", type=_count(2), default=vocab, help="label vocabulary size incl. blank")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -57,7 +77,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-grad", help="analytic gradient vs central finite differences")
     _add_case_flags(p, max_t=4, max_u=2, vocab=3, cases=200)
-    p.add_argument("--eps", type=float, default=1e-5, help="finite-difference step")
+    p.add_argument("--eps", type=_number(positive=True), default=1e-5, help="finite-difference step")
     p.add_argument(
         "--mutation", choices=("none", "sign-flip"), default="none",
         help="deliberately corrupt the analytic gradient to prove the harness can fail",
@@ -69,12 +89,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="train the toy model on a synthetic task")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--topology", choices=TOPOLOGIES, default=CTC_LIKE)
-    p.add_argument("--utts", type=_count, default=20, help="synthetic utterance count")
-    p.add_argument("--vocab", type=int, default=6)
-    p.add_argument("--max-len", type=int, default=5, help="longest label sequence")
-    p.add_argument("--steps", type=_count, default=500)
-    p.add_argument("--lr", type=float, default=0.3)
-    p.add_argument("--hidden", type=_count, default=32)
+    p.add_argument("--utts", type=_count(), default=20, help="synthetic utterance count")
+    p.add_argument("--vocab", type=_count(2), default=6)
+    p.add_argument("--max-len", type=_count(), default=5, help="longest label sequence")
+    p.add_argument("--steps", type=_count(), default=500)
+    p.add_argument("--lr", type=_number(), default=0.3)
+    p.add_argument("--hidden", type=_count(), default=32)
     p.add_argument("--out", required=True, help="output directory for checkpoint and loss curve")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
 
@@ -82,9 +102,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True, help="toy-model checkpoint")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--topology", choices=TOPOLOGIES, default=CTC_LIKE)
-    p.add_argument("--utts", type=_count, default=20)
-    p.add_argument("--vocab", type=int, default=6)
-    p.add_argument("--max-len", type=int, default=5)
+    p.add_argument("--utts", type=_count(), default=20)
+    p.add_argument("--vocab", type=_count(2), default=6)
+    p.add_argument("--max-len", type=_count(), default=5)
     p.add_argument("--search", choices=(GREEDY, PREFIX_BEAM), default=GREEDY)
     p.add_argument("--beam", type=int, default=10, help="beam size P")
     p.add_argument("--theta1", type=float, default=0.0, help="linear-domain posterior floor")
@@ -149,13 +169,13 @@ def _cmd_check_oracle(args) -> int:
 def _cmd_train_toy(args) -> int:
     import os
 
-    os.makedirs(args.out, exist_ok=True)
     data = make_synthetic_task(args.seed, args.utts, args.vocab, args.max_len)
     if args.resume:
         model, start_step = load_model(args.resume)
     else:
         model = ToyModel(args.vocab, args.hidden, args.vocab, lr=args.lr, seed=args.seed)
         start_step = 0
+    os.makedirs(args.out, exist_ok=True)
     print(
         f"# train-toy seed={args.seed} utts={args.utts} vocab={args.vocab} "
         f"max_len={args.max_len} topology={args.topology} hidden={model.hidden} "
@@ -255,7 +275,6 @@ def main(argv=None) -> int:
                 args.config = DecodeConfig(
                     beam_size=args.beam, theta1=args.theta1, theta2=args.theta2,
                     lm_weight=args.lm_weight, insertion_bonus=args.insertion_bonus,
-                    kind=PREFIX_BEAM,
                 )
             except ValueError as exc:
                 parser.error(str(exc))

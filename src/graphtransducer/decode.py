@@ -185,7 +185,6 @@ class DecodeConfig:
     theta2: float = math.inf
     lm_weight: float = 0.0
     insertion_bonus: float = 0.0
-    kind: str = PREFIX_BEAM
 
     def __post_init__(self):
         if isinstance(self.beam_size, bool) or not isinstance(self.beam_size, numbers.Integral):
@@ -199,8 +198,6 @@ class DecodeConfig:
         for name in ("lm_weight", "insertion_bonus"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite; got {getattr(self, name)}")
-        if self.kind not in (GREEDY, PREFIX_BEAM):
-            raise ValueError(f"unknown search kind {self.kind!r}")
 
 
 def prune(
@@ -247,8 +244,6 @@ def beam_search(
     whole-prefix ``score``, which is the left-to-right sum of the same
     terms.
     """
-    if cfg.kind != PREFIX_BEAM:
-        raise ValueError(f"beam_search requires kind={PREFIX_BEAM!r}; got {cfg.kind!r}")
     if lm is None:
         lm = UniformLm()
     extension_score = lm.extension_score

@@ -33,13 +33,13 @@ NEG_INF = float("-inf")
 
 
 class InfeasibleLengthError(ValueError):
-    """No start-to-end path with exactly the requested number of frames."""
+    """No alignment of exactly the requested frame count has nonzero probability."""
 
     def __init__(self, frames: int, min_frames: int):
         self.frames = frames
         self.min_frames = min_frames
         super().__init__(
-            f"no alignment of exactly {frames} frames exists; "
+            f"no alignment of exactly {frames} frames has nonzero probability; "
             f"the shortest start-to-end path needs {min_frames}"
         )
 
@@ -89,17 +89,21 @@ def _scatter_logsumexp(values: np.ndarray, index: np.ndarray, size: int) -> np.n
     return out
 
 
-def _backward_reachable(lat: Lattice, frames: int) -> np.ndarray:
-    """reach[t, g] is True iff g can emit exactly frames - t more steps and finish."""
-    n = len(lat.nodes)
+def _edge_scores(lat: Lattice, lp: np.ndarray) -> np.ndarray:
+    """scores[t - 1, e] = log p(t, i_e, k_e) + w_e for each row t of ``lp``."""
     em = lat.emit
-    reach = np.zeros((frames + 1, n), dtype=bool)
-    reach[frames, lat.final.src] = True
-    for t in range(frames - 1, -1, -1):
-        live = reach[t + 1, em.dst]
-        if live.any():
-            reach[t, em.src[live]] = True
-    return reach
+    scores = lp[:, em.state, em.label]
+    scores += em.log_weight
+    return scores
+
+
+def _sweep(table: np.ndarray, scores: np.ndarray, gather: np.ndarray, scatter: np.ndarray):
+    """The frame recursion of both directions, filling ``table`` in place:
+    table[s] = logsumexp, grouped by ``scatter``, of table[s - 1, gather]
+    plus scores[s - 1], for s = 1 .. len(scores)."""
+    size = table.shape[1]
+    for s, row in enumerate(scores, start=1):
+        table[s] = _scatter_logsumexp(table[s - 1, gather] + row, scatter, size)
 
 
 def _group_columns(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
@@ -128,26 +132,23 @@ def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     -inf and the loss entry point reports infeasibility.
     """
     _check_compat(lat, post)
-    alpha = _forward(lat, post.logprobs)
-    alpha[1:][~_backward_reachable(lat, post.num_frames)[1:]] = NEG_INF
+    alpha = _forward(lat, _edge_scores(lat, post.logprobs))
+    # structural, whatever the weights: the backward sweep with all scores 0
+    zeros = np.broadcast_to(0.0, (post.num_frames, lat.emit.src.size))
+    alpha[1:][_backward(lat, zeros, 0.0)[1:] == NEG_INF] = NEG_INF
     return alpha
 
 
-def _forward(lat: Lattice, lp: np.ndarray) -> np.ndarray:
+def _forward(lat: Lattice, scores: np.ndarray) -> np.ndarray:
     """:func:`forward_vars` without the mask on cells that cannot complete.
 
     Such cells feed only cells that cannot complete either, so they never
     reach the final nodes of the terminal row; and an edge occupancy that
     starts at one pairs it with a -inf logBeta, so it comes out 0 anyway.
     """
-    frames = lp.shape[0]
-    n = len(lat.nodes)
-    em = lat.emit
-    alpha = np.full((frames + 1, n), NEG_INF)
+    alpha = np.full((len(scores) + 1, len(lat.nodes)), NEG_INF)
     alpha[0, lat.start_id] = 0.0
-    for t in range(1, frames + 1):
-        scores = alpha[t - 1, em.src] + em.log_weight + lp[t - 1, em.state, em.label]
-        alpha[t] = _scatter_logsumexp(scores, em.dst, n)
+    _sweep(alpha, scores, lat.emit.src, lat.emit.dst)
     return alpha
 
 
@@ -161,18 +162,16 @@ def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     -inf elsewhere; the recursion fills rows T-1 down to 1.
     """
     _check_compat(lat, post)
-    return _backward(lat, post.logprobs)
+    return _backward(lat, _edge_scores(lat, post.logprobs), lat.final.log_weight)
 
 
-def _backward(lat: Lattice, lp: np.ndarray) -> np.ndarray:
-    frames = lp.shape[0]
-    n = len(lat.nodes)
-    em = lat.emit
-    beta = np.full((frames + 1, n), NEG_INF)
-    beta[frames, lat.final.src] = lat.final.log_weight
-    for t in range(frames - 1, 0, -1):
-        scores = beta[t + 1, em.dst] + em.log_weight + lp[t, em.state, em.label]
-        beta[t] = _scatter_logsumexp(scores, em.src, n)
+def _backward(lat: Lattice, scores: np.ndarray, final_weight: np.ndarray | float) -> np.ndarray:
+    """:func:`_sweep` over the reversed lattice and frames: row T holds
+    ``final_weight`` at the final nodes, rows T-1 down to 1 read score rows
+    T-1 down to 1, and row 0 stays -inf."""
+    beta = np.full((len(scores) + 1, len(lat.nodes)), NEG_INF)
+    beta[-1, lat.final.src] = final_weight
+    _sweep(beta[::-1], scores[:0:-1], lat.emit.dst, lat.emit.src)
     return beta
 
 
@@ -188,8 +187,7 @@ def marginal(
     if not 1 <= t <= frames:
         raise ValueError(f"frame index t={t} outside 1..{frames}")
     em = lat.emit
-    lp = post.logprobs
-    scores = alpha[t - 1, em.src] + em.log_weight + lp[t - 1, em.state, em.label] + beta[t, em.dst]
+    scores = alpha[t - 1, em.src] + _edge_scores(lat, post.logprobs[t - 1:t])[0] + beta[t, em.dst]
     return float(_logsumexp(scores)[0])
 
 
@@ -198,7 +196,8 @@ def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     :class:`InfeasibleLengthError` when it is -inf, that is when no
     alignment of length T exists or every one crosses a zero-weight edge."""
     _check_compat(lat, post)
-    return _terminal_log_marginal(lat, _forward(lat, post.logprobs), post.num_frames)
+    alpha = _forward(lat, _edge_scores(lat, post.logprobs))
+    return _terminal_log_marginal(lat, alpha, post.num_frames)
 
 
 def _terminal_log_marginal(lat: Lattice, alpha: np.ndarray, frames: int) -> float:
@@ -224,21 +223,22 @@ def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
 
         d loss / d h[t, i, k] = p(t, i, k) * occ(t, i) - occ(t, i, k).
 
-    Only the forward and backward recursions loop over frames.
+    The edge scores w_e + log p(t, i_e, k_e) are gathered once, in one
+    (T, E) array that one recursion reads over the lattice (logAlpha) and
+    over its reverse (logBeta) and that then becomes the occupancy buffer.
     """
     _check_compat(lat, post)
     n_states, vocab = post.num_states, post.vocab_size
     em = lat.emit
     lp = post.logprobs
 
-    alpha = _forward(lat, lp)
+    scores = occ = _edge_scores(lat, lp)
+    alpha = _forward(lat, scores)
     logp = _terminal_log_marginal(lat, alpha, post.num_frames)
-    beta = _backward(lat, lp)
+    beta = _backward(lat, scores, lat.final.log_weight)
 
-    # occ[t - 1, e], built in place so no (T, E) temporary outlives its line
-    occ = alpha[:-1, em.src]
-    occ += em.log_weight - logp
-    occ += lp[:, em.state, em.label]
+    # the scores become occ[t - 1, e] in place; alpha - log P goes in before beta
+    occ += alpha[:-1, em.src] - logp
     occ += beta[1:, em.dst]
     np.exp(occ, out=occ)
 

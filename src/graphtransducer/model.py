@@ -42,6 +42,8 @@ class ToyModel:
     def __init__(self, feat_dim: int, hidden: int, vocab_size: int, lr: float = 0.1, seed: int = 0):
         if vocab_size < 2:
             raise ValueError("vocab_size must be at least 2 (blank plus one label)")
+        if not np.isfinite(lr):
+            raise ValueError(f"lr must be finite; got {lr}")
         rng = np.random.default_rng(seed)
         self.feat_dim = feat_dim
         self.hidden = hidden

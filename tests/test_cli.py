@@ -40,12 +40,6 @@ def test_check_oracle_reports_all_laws(capsys):
         assert f"{law}: PASS" in out
 
 
-def test_check_oracle_infeasible_bounds_exit_3(capsys):
-    code, _, err = run(capsys, "check-oracle", "--max-t", "0")
-    assert code == 3
-    assert "error:" in err and "alignment" in err
-
-
 def test_reports_are_byte_identical_across_reruns(capsys):
     _, first, _ = run(capsys, "check-oracle", "--cases", "10", "--seed", "3")
     _, second, _ = run(capsys, "check-oracle", "--cases", "10", "--seed", "3")
@@ -196,6 +190,14 @@ TRAIN = ["train-toy", "--out", "{tmp}/out"]
     (TRAIN + ["--hidden", "-3"], "argument --hidden: must be an integer >= 1"),
     (["check-grad", "--cases", "0"], "argument --cases: must be an integer >= 1"),
     (["check-oracle", "--cases", "0"], "argument --cases: must be an integer >= 1"),
+    (TRAIN + ["--vocab", "1"], "argument --vocab: must be an integer >= 2"),
+    (TRAIN + ["--max-len", "0"], "argument --max-len: must be an integer >= 1"),
+    (TRAIN + ["--lr", "nan"], "argument --lr: must be a finite number"),
+    (["check-grad", "--vocab", "1"], "argument --vocab: must be an integer >= 2"),
+    (["check-grad", "--max-t", "0"], "argument --max-t: must be an integer >= 1"),
+    (["check-grad", "--eps", "0"], "argument --eps: must be a positive finite number"),
+    (["check-oracle", "--max-u", "-1"], "argument --max-u: must be an integer >= 0"),
+    (["check-oracle", "--max-t", "0"], "argument --max-t: must be an integer >= 1"),
 ])
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))

@@ -79,7 +79,6 @@ def test_prune_breaks_ties_lexicographically():
         dict(theta1=-0.1),
         dict(theta1=1.0),
         dict(theta2=0.0),
-        dict(kind="best"),
         dict(beam_size=2.5),
         dict(beam_size=True),
         dict(beam_size="10"),
@@ -225,12 +224,6 @@ def test_beam_revival_restores_pruned_mass():
     assert best == (1,)
     assert score == pytest.approx(math.log(0.52), abs=1e-12)
     # without the revived continuation the late emit alone (0.32) would lose
-
-
-def test_beam_rejects_greedy_config():
-    provider = TensorPosteriors(tensor_from_probs([[[0.5, 0.5]]]))
-    with pytest.raises(ValueError, match="prefix-beam"):
-        beam_search(provider, DecodeConfig(kind="greedy"))
 
 
 def test_beam_matches_exhaustive_oracle_unpruned():

@@ -19,6 +19,7 @@ from graphtransducer import (
     build_lattice,
     build_monornnt_graph,
     deserialize,
+    finite_diff_grad,
     forward_vars,
     log_marginal,
     loss_and_grad,
@@ -243,11 +244,15 @@ def test_zero_weight_edge_gives_finite_loss_or_infeasible():
             post = PosteriorTensor(rng.normal(0, 1, (frames, 3, 3)))
             try:
                 result = loss_and_grad(lat, post)
-            except InfeasibleLengthError:
+            except InfeasibleLengthError as exc:
                 # log_marginal raises exactly when loss_and_grad does,
-                # including when every path crosses the cut edge
+                # including when every path crosses the cut edge; then
+                # alignments exist, and the message must not deny it
                 with pytest.raises(InfeasibleLengthError):
                     log_marginal(lat, post)
+                if frames >= exc.min_frames:
+                    assert "exist" not in str(exc)
+                    assert "nonzero probability" in str(exc)
                 continue
             assert np.isfinite(result.loss)
             assert np.all(np.isfinite(result.grad))
@@ -278,6 +283,30 @@ def test_loss_accepts_lattice_that_validate_rejects():
         assert log_marginal(lat, post) == pytest.approx(
             brute_force_marginal(lat, post), abs=ORACLE_TOL
         )
+        # the only hand-built test lattice with nonzero finite weights: they
+        # enter the edge scores the gradient is made from
+        grad = loss_and_grad(lat, post).grad
+        fd = finite_diff_grad(lat, post, step=FD_STEP)
+        scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-8)
+        assert np.abs(grad - fd).max() < GRAD_TOL * scale
+
+
+def test_forward_vars_mask_ignores_weights():
+    # the mask on cells that cannot complete is structural: with edge 9
+    # (node 2 -> node 4) cut, node 1 at t=1 and node 2 at t=2 can finish
+    # only through it, so their logBeta is -inf, yet their logAlpha stays
+    doc = json.loads(serialize(build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), 3))))
+    doc["edges"][9]["logw"] = NEG_INF
+    lat = deserialize(json.dumps(doc))
+    post = rand_post(25, 3, 3, 3)
+    beta = backward_vars(lat, post)
+    assert beta[1, 1] == beta[2, 2] == NEG_INF
+    expected = np.full((4, 7), NEG_INF)
+    expected[0, 0] = 0.0
+    expected[1, 1:3] = -0.7470773931275897, -1.1060824455440719
+    expected[2, 2:4] = -3.1313234452509806, -1.6809958586942848
+    expected[3, 4] = -2.2738380781313925
+    np.testing.assert_allclose(forward_vars(lat, post), expected, rtol=1e-12)
 
 
 def test_emitting_edge_without_state_is_an_error():

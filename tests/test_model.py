@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,12 @@ def test_zero_learning_rate_keeps_parameters_bitwise():
     train_step(m, data, CTC_LIKE)
     for name, value in m.params().items():
         assert np.array_equal(value, before[name])
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_non_finite_learning_rate_is_rejected(lr):
+    with pytest.raises(ValueError, match="lr must be finite"):
+        ToyModel(6, 8, 6, lr=lr)
 
 
 def test_single_utterance_memorization():
