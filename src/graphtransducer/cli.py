@@ -220,8 +220,6 @@ def _cmd_decode(args) -> int:
         provider = ModelPosteriors(model, utt.features)
         greedy_hyp = greedy_search(provider, args.topology)
         if args.search == PREFIX_BEAM:
-            if args.topology != CTC_LIKE:
-                raise ValueError("prefix beam search is defined for the ctc-like topology only")
             hyp, _ = beam_search(provider, args.config, lm)
             beam_lp = sequence_score(model, utt, hyp, args.topology)
             greedy_lp = sequence_score(model, utt, greedy_hyp, args.topology)
@@ -244,8 +242,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_dump_graph(args) -> int:
-    spec = TopologySpec(args.topology, tuple(args.labels), args.vocab)
-    lat = build_lattice(spec)
+    lat = build_lattice(args.spec)
     problems = validate(lat)
     if problems:  # builders should never trip this; belt and braces
         for problem in problems:
@@ -268,16 +265,20 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "decode":
-            # DecodeConfig owns the search flags' rules; breaking one is a
-            # usage error, reported before any file is read
-            try:
+        # DecodeConfig and TopologySpec own the flags' rules; breaking one
+        # is a usage error, reported before any file is read
+        try:
+            if args.command == "decode":
                 args.config = DecodeConfig(
                     beam_size=args.beam, theta1=args.theta1, theta2=args.theta2,
                     lm_weight=args.lm_weight, insertion_bonus=args.insertion_bonus,
                 )
-            except ValueError as exc:
-                parser.error(str(exc))
+                if args.search == PREFIX_BEAM and args.topology != CTC_LIKE:
+                    parser.error("prefix beam search is defined for the ctc-like topology only")
+            elif args.command == "dump-graph":
+                args.spec = TopologySpec(args.topology, tuple(args.labels), args.vocab)
+        except ValueError as exc:
+            parser.error(str(exc))
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else PASS
     started = time.perf_counter()

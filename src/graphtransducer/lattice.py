@@ -51,11 +51,16 @@ class Node:
     """A lattice node.
 
     ``label`` is an integer label id for emitting nodes (0 = blank) or one
-    of the strings "start"/"end" for the two non-emitting endpoints.
+    of the strings "start"/"end" for the two non-emitting endpoints.  A
+    negative label is rejected: numpy would read it from the end of a row.
     """
 
     id: int
     label: int | str
+
+    def __post_init__(self):
+        if self.emitting and self.label < 0:
+            raise ValueError(f"node {self.id} has negative label {self.label}")
 
     @property
     def emitting(self) -> bool:
@@ -67,7 +72,8 @@ class Edge:
     """Directed edge.  ``state`` is None exactly on edges into the end node.
 
     ``log_weight`` may be -inf (a zero-weight edge) but not NaN or +inf,
-    which would turn the marginal into a finite wrong value or NaN.
+    which would turn the marginal into a finite wrong value or NaN; a
+    negative ``state`` is rejected for the same reason.
     """
 
     src: int
@@ -78,6 +84,8 @@ class Edge:
     def __post_init__(self):
         if math.isnan(self.log_weight) or self.log_weight == math.inf:
             raise ValueError(f"edge {self.src}->{self.dst} has invalid log weight {self.log_weight}")
+        if self.state is not None and self.state < 0:
+            raise ValueError(f"edge {self.src}->{self.dst} has negative decoder state {self.state}")
 
 
 @dataclass(frozen=True)
@@ -238,7 +246,7 @@ def build_ctc_like_graph(spec: TopologySpec) -> Lattice:
     """
     if spec.kind != CTC_LIKE:
         raise InvalidSpecError(f"expected kind {CTC_LIKE!r}, got {spec.kind!r}")
-    return _build_linear_lattice(spec, label_self_loops=True, step_requires_distinct=True)
+    return _build_linear_lattice(spec, label_repeats=True)
 
 
 def build_monornnt_graph(spec: TopologySpec) -> Lattice:
@@ -247,7 +255,7 @@ def build_monornnt_graph(spec: TopologySpec) -> Lattice:
     y_u -> y_{u+1} regardless of label equality."""
     if spec.kind != MONO_RNNT:
         raise InvalidSpecError(f"expected kind {MONO_RNNT!r}, got {spec.kind!r}")
-    return _build_linear_lattice(spec, label_self_loops=False, step_requires_distinct=False)
+    return _build_linear_lattice(spec, label_repeats=False)
 
 
 def build_lattice(spec: TopologySpec) -> Lattice:
@@ -256,9 +264,8 @@ def build_lattice(spec: TopologySpec) -> Lattice:
     return build_monornnt_graph(spec)
 
 
-def _build_linear_lattice(
-    spec: TopologySpec, *, label_self_loops: bool, step_requires_distinct: bool
-) -> Lattice:
+def _build_linear_lattice(spec: TopologySpec, *, label_repeats: bool) -> Lattice:
+    # CTC's repeat rule: label nodes loop, so equal neighbours need a blank between
     y = spec.labels
     big_u = len(y)
     vocab = spec.resolved_vocab()
@@ -283,7 +290,7 @@ def _build_linear_lattice(
         edges.append(Edge(0, label_id(1), 0.0, 0))
     for u in range(big_u + 1):
         edges.append(Edge(blank_id(u), blank_id(u), 0.0, u))
-    if label_self_loops:
+    if label_repeats:
         for u in range(1, big_u + 1):
             edges.append(Edge(label_id(u), label_id(u), 0.0, u))
     for u in range(big_u):
@@ -291,7 +298,7 @@ def _build_linear_lattice(
     for u in range(1, big_u + 1):
         edges.append(Edge(label_id(u), blank_id(u), 0.0, u))
     for u in range(1, big_u):
-        if not step_requires_distinct or y[u - 1] != y[u]:
+        if not label_repeats or y[u - 1] != y[u]:
             edges.append(Edge(label_id(u), label_id(u + 1), 0.0, u))
     if big_u:
         edges.append(Edge(label_id(big_u), end_id, 0.0, None))

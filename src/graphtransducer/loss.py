@@ -57,22 +57,6 @@ class LossResult:
     grad: np.ndarray
 
 
-def _check_compat(lat: Lattice, post: PosteriorTensor) -> None:
-    em = lat.emit
-    if em.src.size:
-        max_state = int(em.state.max())
-        if max_state >= post.num_states:
-            raise ValueError(
-                f"lattice references decoder state {max_state} but the tensor has "
-                f"only {post.num_states} states"
-            )
-        max_label = int(em.label.max())
-        if max_label >= post.vocab_size:
-            raise ValueError(
-                f"lattice emits label {max_label} but the tensor vocab is {post.vocab_size}"
-            )
-
-
 def _scatter_logsumexp(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     """Grouped log-sum-exp: out[j] = logsumexp(values[index == j])."""
     out = np.full(size, NEG_INF)
@@ -90,8 +74,23 @@ def _scatter_logsumexp(values: np.ndarray, index: np.ndarray, size: int) -> np.n
 
 
 def _edge_scores(lat: Lattice, lp: np.ndarray) -> np.ndarray:
-    """scores[t - 1, e] = log p(t, i_e, k_e) + w_e for each row t of ``lp``."""
+    """scores[t - 1, e] = log p(t, i_e, k_e) + w_e for each row t of ``lp``.
+
+    The one gather from the (T, S, V) tensor, so the one place that checks
+    every edge's state and label against it.
+    """
     em = lat.emit
+    if em.src.size:
+        n_states, vocab = lp.shape[1:]
+        max_state = int(em.state.max())
+        if max_state >= n_states:
+            raise ValueError(
+                f"lattice references decoder state {max_state} but the tensor has "
+                f"only {n_states} states"
+            )
+        max_label = int(em.label.max())
+        if max_label >= vocab:
+            raise ValueError(f"lattice emits label {max_label} but the tensor vocab is {vocab}")
     scores = lp[:, em.state, em.label]
     scores += em.log_weight
     return scores
@@ -121,31 +120,21 @@ def _group_columns(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarr
 def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     """Forward table logAlpha of shape (T + 1, num_nodes).
 
-    logAlpha[t, g] sums, over prefixes of full-length alignments that reach
-    node g in exactly t emissions, the log product of edge weights and
+    logAlpha[t, g] sums, over paths from the start node that reach node g
+    in exactly t emissions, the log product of edge weights and
     emitted-label posteriors.  Row 0 is the initialization: 0 at the start
-    node, -inf elsewhere.  Cells whose node cannot complete an alignment in
-    the remaining frames are -inf (such prefixes extend no full-length
-    path, so they contribute nothing).
+    node, -inf elsewhere.  A cell whose node cannot finish an alignment in
+    the remaining frames may still be finite: it feeds only cells that
+    cannot finish either, and joined with :func:`backward_vars` it meets a
+    -inf logBeta, so it adds nothing to a marginal or an occupancy.
 
     Too small a T is not an error here; the marginal simply comes out as
     -inf and the loss entry point reports infeasibility.
     """
-    _check_compat(lat, post)
-    alpha = _forward(lat, _edge_scores(lat, post.logprobs))
-    # structural, whatever the weights: the backward sweep with all scores 0
-    zeros = np.broadcast_to(0.0, (post.num_frames, lat.emit.src.size))
-    alpha[1:][_backward(lat, zeros, 0.0)[1:] == NEG_INF] = NEG_INF
-    return alpha
+    return _forward(lat, _edge_scores(lat, post.logprobs))
 
 
 def _forward(lat: Lattice, scores: np.ndarray) -> np.ndarray:
-    """:func:`forward_vars` without the mask on cells that cannot complete.
-
-    Such cells feed only cells that cannot complete either, so they never
-    reach the final nodes of the terminal row; and an edge occupancy that
-    starts at one pairs it with a -inf logBeta, so it comes out 0 anyway.
-    """
     alpha = np.full((len(scores) + 1, len(lat.nodes)), NEG_INF)
     alpha[0, lat.start_id] = 0.0
     _sweep(alpha, scores, lat.emit.src, lat.emit.dst)
@@ -161,16 +150,15 @@ def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     node.  Row T holds that terminal weight for nodes with an end edge and
     -inf elsewhere; the recursion fills rows T-1 down to 1.
     """
-    _check_compat(lat, post)
-    return _backward(lat, _edge_scores(lat, post.logprobs), lat.final.log_weight)
+    return _backward(lat, _edge_scores(lat, post.logprobs))
 
 
-def _backward(lat: Lattice, scores: np.ndarray, final_weight: np.ndarray | float) -> np.ndarray:
-    """:func:`_sweep` over the reversed lattice and frames: row T holds
-    ``final_weight`` at the final nodes, rows T-1 down to 1 read score rows
+def _backward(lat: Lattice, scores: np.ndarray) -> np.ndarray:
+    """:func:`_sweep` over the reversed lattice and frames: row T holds the
+    terminal weights at the final nodes, rows T-1 down to 1 read score rows
     T-1 down to 1, and row 0 stays -inf."""
     beta = np.full((len(scores) + 1, len(lat.nodes)), NEG_INF)
-    beta[-1, lat.final.src] = final_weight
+    beta[-1, lat.final.src] = lat.final.log_weight
     _sweep(beta[::-1], scores[:0:-1], lat.emit.dst, lat.emit.src)
     return beta
 
@@ -195,9 +183,7 @@ def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     """Log of the total alignment probability; raises
     :class:`InfeasibleLengthError` when it is -inf, that is when no
     alignment of length T exists or every one crosses a zero-weight edge."""
-    _check_compat(lat, post)
-    alpha = _forward(lat, _edge_scores(lat, post.logprobs))
-    return _terminal_log_marginal(lat, alpha, post.num_frames)
+    return _terminal_log_marginal(lat, forward_vars(lat, post), post.num_frames)
 
 
 def _terminal_log_marginal(lat: Lattice, alpha: np.ndarray, frames: int) -> float:
@@ -227,7 +213,6 @@ def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
     (T, E) array that one recursion reads over the lattice (logAlpha) and
     over its reverse (logBeta) and that then becomes the occupancy buffer.
     """
-    _check_compat(lat, post)
     n_states, vocab = post.num_states, post.vocab_size
     em = lat.emit
     lp = post.logprobs
@@ -235,7 +220,7 @@ def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
     scores = occ = _edge_scores(lat, lp)
     alpha = _forward(lat, scores)
     logp = _terminal_log_marginal(lat, alpha, post.num_frames)
-    beta = _backward(lat, scores, lat.final.log_weight)
+    beta = _backward(lat, scores)
 
     # the scores become occ[t - 1, e] in place; alpha - log P goes in before beta
     occ += alpha[:-1, em.src] - logp

@@ -176,6 +176,7 @@ def test_decode_rejects_non_finite_fusion_weight(tmp_path, capsys, flag):
 
 DECODE = ["decode", "--ckpt", "{tmp}/none.ckpt"]
 TRAIN = ["train-toy", "--out", "{tmp}/out"]
+DUMP = ["dump-graph", "--labels"]
 
 
 # decode gets a checkpoint that does not exist and train-toy an output
@@ -198,6 +199,13 @@ TRAIN = ["train-toy", "--out", "{tmp}/out"]
     (["check-grad", "--eps", "0"], "argument --eps: must be a positive finite number"),
     (["check-oracle", "--max-u", "-1"], "argument --max-u: must be an integer >= 0"),
     (["check-oracle", "--max-t", "0"], "argument --max-t: must be an integer >= 1"),
+    (DECODE + ["--search", "prefix-beam", "--topology", "mono-rnnt"],
+     "prefix beam search is defined for the ctc-like topology only"),
+    (DUMP + ["0", "2"], "blank (label 0) is not allowed in a label sequence"),
+    (DUMP + ["1", "--vocab", "1"], "label 1 out of range for vocab_size 1"),
+    (DUMP + ["5", "--vocab", "3"], "label 5 out of range for vocab_size 3"),
+    (DUMP + ["-1"], "negative label id -1"),
+    (DUMP + ["--vocab", "0"], "vocab_size must be at least 1"),
 ])
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))

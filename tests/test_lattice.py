@@ -333,6 +333,19 @@ def test_edge_accepts_negative_infinite_weight():
     assert Edge(0, 1, -math.inf, 0).log_weight == -math.inf
 
 
+# numpy reads a negative index from the end of a row, so either would give
+# the loss a finite wrong marginal
+def test_edge_rejects_negative_state():
+    with pytest.raises(ValueError, match="negative decoder state -1"):
+        Edge(0, 1, 0.0, -1)
+
+
+def test_node_rejects_negative_label():
+    with pytest.raises(ValueError, match="negative label -1"):
+        Node(1, -1)
+    assert [Node(0, k).emitting for k in ("start", BLANK, 2, "end")] == [False, True, True, False]
+
+
 @pytest.mark.parametrize("weight, token", [(math.inf, "Infinity"), (math.nan, "NaN")])
 def test_deserialize_rejects_nan_and_positive_infinite_weight(weight, token):
     doc = json.loads(serialize(build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), 3))))
@@ -352,6 +365,8 @@ def test_deserialize_rejects_nan_and_positive_infinite_weight(weight, token):
         (("nodes", 1, "id"), True, "nodes[1].id"),
         (("edges", 0, "to"), False, "edges[0].to"),
         (("edges", 0, "state"), 3, "edges[0].state"),  # the lattice declares 3 states
+        (("edges", 0, "state"), -1, "edges[0].state"),  # reported here, not by Edge
+        (("nodes", 1, "label"), -1, "nodes[1].label"),  # reported here, not by Node
     ],
 )
 def test_deserialize_rejects_bools_and_undeclared_states(path, value, where):

@@ -65,9 +65,10 @@ def test_forward_single_frame_single_edge():
     lat = ctc_a()
     post = rand_post(1, 1, 2, 3)
     alpha = forward_vars(lat, post)
-    # only the label node can finish a one-frame alignment
+    # blank0 is reached but cannot finish; blank1 is not reached in one frame
     assert alpha[1, 2] == post.logprobs[0, 0, 1]
-    assert alpha[1, 1] == NEG_INF and alpha[1, 3] == NEG_INF
+    assert alpha[1, 1] == post.logprobs[0, 0, 0]
+    assert alpha[1, 3] == NEG_INF
 
 
 def test_three_path_marginal_matches_hand_formula():
@@ -186,21 +187,31 @@ def test_forward_vars_do_not_raise_on_infeasible_length():
     post = rand_post(14, 2, 3, 2)
     alpha = forward_vars(lat, post)
     assert alpha[0, 0] == 0.0
-    assert np.all(alpha[1:] == NEG_INF)
+    assert np.all(alpha[-1, lat.final.src] == NEG_INF)
+
+
+def marginal_at_1(lat, post):
+    tables = np.zeros((post.num_frames + 1, len(lat.nodes)))
+    return marginal(lat, post, tables, tables, 1)
+
+
+ENTRY_POINTS = [forward_vars, backward_vars, marginal_at_1, log_marginal, loss_and_grad]
 
 
 def test_state_count_mismatch_is_an_error():
     lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3))  # states up to 2
     post = rand_post(15, 3, 2, 3)
-    with pytest.raises(ValueError, match="state"):
-        loss_and_grad(lat, post)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ValueError, match="state"):
+            entry(lat, post)
 
 
 def test_vocab_mismatch_is_an_error():
     lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (2,), 3))
     post = rand_post(16, 2, 2, 2)
-    with pytest.raises(ValueError, match="vocab"):
-        loss_and_grad(lat, post)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ValueError, match="vocab"):
+            entry(lat, post)
 
 
 @pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
@@ -289,24 +300,6 @@ def test_loss_accepts_lattice_that_validate_rejects():
         fd = finite_diff_grad(lat, post, step=FD_STEP)
         scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-8)
         assert np.abs(grad - fd).max() < GRAD_TOL * scale
-
-
-def test_forward_vars_mask_ignores_weights():
-    # the mask on cells that cannot complete is structural: with edge 9
-    # (node 2 -> node 4) cut, node 1 at t=1 and node 2 at t=2 can finish
-    # only through it, so their logBeta is -inf, yet their logAlpha stays
-    doc = json.loads(serialize(build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), 3))))
-    doc["edges"][9]["logw"] = NEG_INF
-    lat = deserialize(json.dumps(doc))
-    post = rand_post(25, 3, 3, 3)
-    beta = backward_vars(lat, post)
-    assert beta[1, 1] == beta[2, 2] == NEG_INF
-    expected = np.full((4, 7), NEG_INF)
-    expected[0, 0] = 0.0
-    expected[1, 1:3] = -0.7470773931275897, -1.1060824455440719
-    expected[2, 2:4] = -3.1313234452509806, -1.6809958586942848
-    expected[3, 4] = -2.2738380781313925
-    np.testing.assert_allclose(forward_vars(lat, post), expected, rtol=1e-12)
 
 
 def test_emitting_edge_without_state_is_an_error():
