@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .lattice import BLANK, CTC_LIKE, TOPOLOGIES
-from .model import ToyModel, _encode
-from .posteriors import PosteriorTensor, _logsumexp
+from .model import ToyModel, Utterance, forward_logits
+from .posteriors import PosteriorTensor
 
 NEG_INF = float("-inf")
 
@@ -40,21 +40,10 @@ def _log_add(a: float, b: float) -> float:
     return b + math.log1p(math.exp(a - b))
 
 
-class PosteriorProvider(Protocol):
-    """Posterior source for decoding: log probabilities per (prefix, frame)."""
-
-    num_frames: int
-    vocab_size: int
-
-    def log_posteriors(self, prefix: tuple[int, ...], t: int) -> np.ndarray:
-        """Log-softmax row for frame t (1-based) in the decoder state that
-        the given prefix selects."""
-        ...
-
-
 class TensorPosteriors:
-    """Provider backed by a fixed tensor; the decoder state is the prefix
-    length, clamped to the last available state."""
+    """Posterior source for decoding: ``log_posteriors(prefix, t)`` is the
+    log-softmax row for frame t (1-based) in the decoder state the prefix
+    selects, here its length clamped to the last state of a fixed tensor."""
 
     def __init__(self, post: PosteriorTensor):
         self._lp = post.logprobs
@@ -66,28 +55,17 @@ class TensorPosteriors:
         return self._lp[t - 1, state]
 
 
-class ModelPosteriors:
-    """Provider backed by a toy model.  The order-1 predictor makes the
-    posteriors a function of the prefix's last label only, so memoizing per
-    (last label) is exact and replaces one network call per hypothesis per
-    frame with a table lookup."""
+class ModelPosteriors(TensorPosteriors):
+    """A toy model's posteriors for one utterance, from one forward over the
+    labels 1..V-1: the order-1 predictor conditions state k on label k and
+    state 0 on the start, so the decoder state is the prefix's last label."""
 
     def __init__(self, model: ToyModel, features: np.ndarray):
-        self._model = model
-        _, self._pre = _encode(model, features)  # (T, H)
-        self._cache: dict[int, np.ndarray] = {}
-        self.num_frames = self._pre.shape[0]
-        self.vocab_size = model.vocab_size
+        every_label = Utterance(features, tuple(range(1, model.vocab_size)))
+        super().__init__(PosteriorTensor(forward_logits(model, every_label)))
 
     def log_posteriors(self, prefix: tuple[int, ...], t: int) -> np.ndarray:
-        last = prefix[-1] if prefix else 0
-        lp = self._cache.get(last)
-        if lp is None:
-            # a (T, H) product: the (T, 1, H) one inside forward_logits
-            # rounds differently in the last bits
-            logits = np.tanh(self._pre + self._model.embed[last]) @ self._model.join_w.T
-            lp = self._cache[last] = logits - _logsumexp(logits)
-        return lp[t - 1]
+        return self._lp[t - 1, prefix[-1] if prefix else 0]
 
 
 class UniformLm:
@@ -218,7 +196,7 @@ def prune(
 
 
 def beam_search(
-    provider: PosteriorProvider, cfg: DecodeConfig, lm=None
+    provider: TensorPosteriors, cfg: DecodeConfig, lm=None
 ) -> tuple[tuple[int, ...], float]:
     """Prefix beam search over the CTC-like emission rules.
 
@@ -318,7 +296,7 @@ def beam_search(
     return best, float(scores[best])
 
 
-def greedy_search(provider: PosteriorProvider, kind: str) -> tuple[int, ...]:
+def greedy_search(provider: TensorPosteriors, kind: str) -> tuple[int, ...]:
     """Per-frame argmax decoding collapsed by the topology's rules.
 
     CTC-like emits a non-blank argmax only when the previous frame's argmax

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,19 +47,30 @@ class LatticeFormatError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
+def _is_int(value) -> bool:
+    # a bool counts as an int in Python, and a numpy integer does not
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Node:
     """A lattice node.
 
     ``label`` is an integer label id for emitting nodes (0 = blank) or one
-    of the strings "start"/"end" for the two non-emitting endpoints.  A
-    negative label is rejected: numpy would read it from the end of a row.
+    of the strings "start"/"end" for the two non-emitting endpoints.  A numpy
+    integer is stored as an int; any other label is rejected, and so is a
+    negative one, which numpy would read from the end of a row.
     """
 
     id: int
     label: int | str
 
     def __post_init__(self):
+        label = self.label
+        if type(label) is not int and not (isinstance(label, str) and label in (START, END)):
+            if not _is_int(label):
+                raise ValueError(f'node {self.id} label {label!r} is not an integer, "start" or "end"')
+            object.__setattr__(self, "label", int(label))
         if self.emitting and self.label < 0:
             raise ValueError(f"node {self.id} has negative label {self.label}")
 
@@ -73,7 +85,8 @@ class Edge:
 
     ``log_weight`` may be -inf (a zero-weight edge) but not NaN or +inf,
     which would turn the marginal into a finite wrong value or NaN; a
-    negative ``state`` is rejected for the same reason.
+    ``state`` that is negative or not an integer is rejected for the same
+    reason, and a numpy integer one is stored as an int.
     """
 
     src: int
@@ -84,6 +97,10 @@ class Edge:
     def __post_init__(self):
         if math.isnan(self.log_weight) or self.log_weight == math.inf:
             raise ValueError(f"edge {self.src}->{self.dst} has invalid log weight {self.log_weight}")
+        if type(self.state) is not int and self.state is not None:
+            if not _is_int(self.state):
+                raise ValueError(f"edge {self.src}->{self.dst} decoder state {self.state!r} is not an integer")
+            object.__setattr__(self, "state", int(self.state))
         if self.state is not None and self.state < 0:
             raise ValueError(f"edge {self.src}->{self.dst} has negative decoder state {self.state}")
 
@@ -101,7 +118,10 @@ class TopologySpec:
     vocab_size: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(k) for k in self.labels))
+        labels = tuple(self.labels)
+        if not all(map(_is_int, labels)):
+            raise InvalidSpecError(f"label ids must be integers; got {labels!r}")
+        object.__setattr__(self, "labels", tuple(map(int, labels)))
         if self.kind not in TOPOLOGIES:
             raise InvalidSpecError(
                 f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGIES}"
@@ -112,8 +132,10 @@ class TopologySpec:
             if k < 0:
                 raise InvalidSpecError(f"negative label id {k}")
         if self.vocab_size is not None:
-            if self.vocab_size < 1:
-                raise InvalidSpecError("vocab_size must be at least 1 (the blank label)")
+            if not _is_int(self.vocab_size) or self.vocab_size < 1:
+                raise InvalidSpecError(
+                    f"vocab_size must be at least 1 (the blank label), as an integer; got {self.vocab_size!r}"
+                )
             if self.labels and max(self.labels) >= self.vocab_size:
                 raise InvalidSpecError(
                     f"label {max(self.labels)} out of range for vocab_size {self.vocab_size}"
@@ -416,11 +438,6 @@ def serialize(lat: Lattice) -> str:
 def _require(cond: bool, message: str, where: str):
     if not cond:
         raise LatticeFormatError(message, where=where)
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bools, which Python counts as ints
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def deserialize(text: str) -> Lattice:

@@ -63,21 +63,16 @@ def _state_embedding_indices(labels: tuple[int, ...]) -> np.ndarray:
     return np.asarray((0,) + tuple(labels), dtype=np.int64)
 
 
-def _encode(model: ToyModel, features) -> tuple[np.ndarray, np.ndarray]:
+def _activations(model: ToyModel, utt: Utterance):
     """The features as a float64 (T, feat_dim) array, after checking their
-    shape, and the encoder pre-activation ``enc_w @ x_t + bias`` (T, hidden)."""
-    feats = np.asarray(features, dtype=np.float64)
+    shape, each decoder state's embedding row and the joiner input
+    ``tanh(enc_w @ x_t + bias + embed[row])`` of shape (T, U + 1, hidden)."""
+    feats = np.asarray(utt.features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != model.feat_dim:
         raise ValueError(
             f"features must have shape (T, {model.feat_dim}); got {feats.shape}"
         )
-    return feats, feats @ model.enc_w.T + model.bias
-
-
-def _activations(model: ToyModel, utt: Utterance):
-    """The checked features, each decoder state's embedding row and the
-    joiner input ``tanh(pre + embed[row])`` of shape (T, U + 1, hidden)."""
-    feats, pre = _encode(model, utt.features)
+    pre = feats @ model.enc_w.T + model.bias
     idx = _state_embedding_indices(utt.labels)
     return feats, idx, np.tanh(pre[:, None, :] + model.embed[idx][None, :, :])
 
@@ -202,6 +197,23 @@ def save_model(path: str | os.PathLike, model: ToyModel, step: int = 0) -> None:
             write_tensor(fh, p)
 
 
+def _check_header(header) -> None:
+    """Raise ValueError unless the header has the fields save_model writes, with their types."""
+    if not isinstance(header, dict) or (header.get("format"), header.get("version")) != ("toy-model", 1):
+        raise ValueError("not a version-1 toy-model checkpoint")
+    hyper, params = header.get("hyper"), header.get("params")
+    if not isinstance(hyper, dict) or type(hyper.get("lr")) not in (int, float) or not all(
+        type(hyper.get(key)) is int and hyper[key] >= 1 for key in ("feat_dim", "hidden", "vocab_size")
+    ):
+        raise ValueError(f"checkpoint header: hyper needs integer dims >= 1 and a number lr; got {hyper!r}")
+    if type(header.get("step", 0)) is not int:
+        raise ValueError(f"checkpoint header: step must be an integer; got {header['step']!r}")
+    if not isinstance(params, list) or sorted(
+        str(entry.get("name")) if isinstance(entry, dict) and "shape" in entry else "" for entry in params
+    ) != sorted(PARAM_NAMES):
+        raise ValueError(f"checkpoint header: params needs one {{name, shape}} per block {PARAM_NAMES}")
+
+
 def load_model(path: str | os.PathLike) -> tuple[ToyModel, int]:
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -209,18 +221,15 @@ def load_model(path: str | os.PathLike) -> tuple[ToyModel, int]:
             header = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"bad checkpoint header: {exc}") from exc
-        if header.get("format") != "toy-model" or header.get("version") != 1:
-            raise ValueError("not a version-1 toy-model checkpoint")
+        _check_header(header)
         hyper = header["hyper"]
         model = ToyModel(
             hyper["feat_dim"], hyper["hidden"], hyper["vocab_size"], lr=hyper["lr"], seed=0
         )
         for entry in header["params"]:
             name = entry["name"]
-            if name not in PARAM_NAMES:
-                raise ValueError(f"unknown parameter block {name!r}")
             arr = read_tensor(fh)
             if list(arr.shape) != entry["shape"] or arr.shape != getattr(model, name).shape:
                 raise ValueError(f"parameter {name!r} has shape {arr.shape}, expected {entry['shape']}")
             setattr(model, name, arr)
-    return model, int(header.get("step", 0))
+    return model, header.get("step", 0)

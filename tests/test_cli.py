@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from graphtransducer import deserialize, validate
+from graphtransducer import ToyModel, deserialize, save_model, validate
 from graphtransducer.cli import main
 
 
@@ -219,3 +219,29 @@ def test_missing_checkpoint_exit_3(capsys):
     code, _, err = run(capsys, "decode", "--ckpt", "/nonexistent/path.ckpt")
     assert code == 3
     assert "error:" in err
+
+
+# exit 1 is the verification-failure code, so a header that load_model
+# cannot read must not escape as a KeyError, AttributeError or TypeError;
+# a header missing a block must not load that block's random initial values
+@pytest.mark.parametrize("edit", [
+    lambda header: {"format": "toy-model", "version": 1},
+    lambda header: [1, 2],
+    lambda header: {**header, "hyper": {**header["hyper"], "hidden": "8"}},
+    lambda header: {**header, "hyper": {**header["hyper"], "feat_dim": 6.0}},
+    lambda header: {**header, "params": header["params"][:-1]},
+], ids=["no-hyper", "list", "str-dim", "float-dim", "missing-block"])
+@pytest.mark.parametrize("command", ["decode", "train-toy"])
+def test_malformed_checkpoint_header_is_a_data_error(tmp_path, capsys, edit, command):
+    ckpt = tmp_path / "model.ckpt"
+    save_model(ckpt, ToyModel(6, 8, 6))
+    line, body = ckpt.read_bytes().split(b"\n", 1)
+    ckpt.write_bytes(json.dumps(edit(json.loads(line))).encode() + b"\n" + body)
+    if command == "decode":
+        argv = ["decode", "--ckpt", str(ckpt), "--utts", "2"]
+    else:
+        argv = ["train-toy", "--resume", str(ckpt), "--steps", "1", "--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "error:" in err and "Traceback" not in err
+    assert out == ""

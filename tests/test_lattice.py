@@ -104,6 +104,19 @@ def test_spec_rejects_label_outside_vocab():
         TopologySpec(CTC_LIKE, (3,), 3)
 
 
+# int() would truncate 1.7 to 1, read True as 1 and split "12" into 1, 2
+@pytest.mark.parametrize("labels", [(1.7,), (True,), "12", (np.float64(1.0),)])
+def test_spec_rejects_non_integer_labels(labels):
+    with pytest.raises(InvalidSpecError, match="label ids must be integers"):
+        TopologySpec(CTC_LIKE, labels, 3)
+
+
+@pytest.mark.parametrize("vocab", [2.5, True, "3"])
+def test_spec_rejects_non_integer_vocab(vocab):
+    with pytest.raises(InvalidSpecError, match="vocab_size must be at least 1"):
+        TopologySpec(CTC_LIKE, (1,), vocab)
+
+
 @settings(max_examples=60, derandomize=True)
 @given(labels=label_seqs, kind=st.sampled_from([CTC_LIKE, MONO_RNNT]))
 def test_builders_produce_wellformed_lattices(labels, kind):
@@ -344,6 +357,40 @@ def test_node_rejects_negative_label():
     with pytest.raises(ValueError, match="negative label -1"):
         Node(1, -1)
     assert [Node(0, k).emitting for k in ("start", BLANK, 2, "end")] == [False, True, True, False]
+
+
+@pytest.mark.parametrize("label", [1.5, True, "blank", "", None, np.float64(1.0)])
+def test_node_rejects_non_integer_label(label):
+    with pytest.raises(ValueError, match='is not an integer, "start" or "end"'):
+        Node(1, label)
+
+
+@pytest.mark.parametrize("state", [1.5, True, "1"])
+def test_edge_rejects_non_integer_state(state):
+    # the loss would read 1.5 as state 1
+    with pytest.raises(ValueError, match="is not an integer"):
+        Edge(0, 1, 0.0, state)
+
+
+def test_numpy_integer_labels_and_states_score_as_ints():
+    # a numpy-integer label must emit: a non-emitting blank node would pass
+    # validate and give a finite wrong marginal
+    spec = TopologySpec(CTC_LIKE, np.array([1]), np.int64(2))
+    assert spec.labels == (1,) and type(spec.labels[0]) is int
+    built = build_ctc_like_graph(spec)
+    lat = Lattice(
+        tuple(Node(n.id, n.label if n.label in ("start", "end") else np.int64(n.label))
+              for n in built.nodes),
+        tuple(Edge(e.src, e.dst, e.log_weight, None if e.state is None else np.int64(e.state))
+              for e in built.edges),
+        built.num_states, built.vocab_size,
+    )
+    assert lat == built
+    assert all(type(n.label) is int for n in lat.nodes if n.emitting)
+    assert all(type(e.state) is int for e in lat.edges if e.state is not None)
+    assert validate(lat) == []
+    post = PosteriorTensor(np.random.default_rng(0).normal(size=(3, 2, 2)))
+    assert log_marginal(lat, post) == log_marginal(built, post)
 
 
 @pytest.mark.parametrize("weight, token", [(math.inf, "Infinity"), (math.nan, "NaN")])

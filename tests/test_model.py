@@ -60,12 +60,14 @@ def test_feature_dim_mismatch_raises():
 
 
 def test_model_posteriors_match_forward_logits():
-    # ModelPosteriors keeps one table per last label; the order-1 predictor
-    # makes that exact, so (1, 3, 4, 2) reuses the table that (2,) built
+    # ModelPosteriors reads one table whose state k conditions on label k
+    # and state 0 on the start; the order-1 predictor makes that exact for
+    # any prefix, checked at every frame for every last label, short and long
     m = ToyModel(4, 8, 5, seed=3)
     feats = np.random.default_rng(4).normal(0, 1, (6, 4))
     provider = ModelPosteriors(m, feats)
-    for prefix in [(), (2,), (1, 3, 4, 2)]:
+    prefixes = [()] + [(k,) for k in range(1, 5)] + [(1, 3, 4, 2, k) for k in range(1, 5)]
+    for prefix in prefixes:
         full = PosteriorTensor(forward_logits(m, Utterance(feats, prefix))).logprobs
         for t in range(1, 7):
             np.testing.assert_allclose(
