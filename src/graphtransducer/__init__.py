@@ -41,6 +41,7 @@ from .loss import (
     InfeasibleLengthError,
     LossResult,
     backward_vars,
+    batch_loss_and_grad,
     forward_vars,
     log_marginal,
     loss_and_grad,

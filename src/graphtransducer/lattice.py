@@ -52,6 +52,16 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _store_int(obj, field: str, what: str) -> None:
+    """Store the field of a frozen dataclass as an int when it holds a numpy
+    integer; raise ValueError when it holds a bool or a non-integer.  Callers
+    test ``type(value) is int`` first, which keeps the common case cheap."""
+    value = getattr(obj, field)
+    if not _is_int(value):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    object.__setattr__(obj, field, int(value))
+
+
 @dataclass(frozen=True)
 class Node:
     """A lattice node.
@@ -59,13 +69,17 @@ class Node:
     ``label`` is an integer label id for emitting nodes (0 = blank) or one
     of the strings "start"/"end" for the two non-emitting endpoints.  A numpy
     integer is stored as an int; any other label is rejected, and so is a
-    negative one, which numpy would read from the end of a row.
+    negative one, which numpy would read from the end of a row.  ``id`` must
+    be an integer too, stored as an int: the loss offsets it and uses it as
+    an array index.
     """
 
     id: int
     label: int | str
 
     def __post_init__(self):
+        if type(self.id) is not int:
+            _store_int(self, "id", "node id")
         label = self.label
         if type(label) is not int and not (isinstance(label, str) and label in (START, END)):
             if not _is_int(label):
@@ -86,7 +100,8 @@ class Edge:
     ``log_weight`` may be -inf (a zero-weight edge) but not NaN or +inf,
     which would turn the marginal into a finite wrong value or NaN; a
     ``state`` that is negative or not an integer is rejected for the same
-    reason, and a numpy integer one is stored as an int.
+    reason, and so are ``src`` and ``dst`` when not integers.  A numpy
+    integer in any of the three is stored as an int.
     """
 
     src: int
@@ -95,12 +110,13 @@ class Edge:
     state: int | None = None
 
     def __post_init__(self):
+        if type(self.src) is not int or type(self.dst) is not int:
+            _store_int(self, "src", f"edge {self.src}->{self.dst} source")
+            _store_int(self, "dst", f"edge {self.src}->{self.dst} target")
         if math.isnan(self.log_weight) or self.log_weight == math.inf:
             raise ValueError(f"edge {self.src}->{self.dst} has invalid log weight {self.log_weight}")
         if type(self.state) is not int and self.state is not None:
-            if not _is_int(self.state):
-                raise ValueError(f"edge {self.src}->{self.dst} decoder state {self.state!r} is not an integer")
-            object.__setattr__(self, "state", int(self.state))
+            _store_int(self, "state", f"edge {self.src}->{self.dst} decoder state")
         if self.state is not None and self.state < 0:
             raise ValueError(f"edge {self.src}->{self.dst} has negative decoder state {self.state}")
 
@@ -171,6 +187,8 @@ class Lattice:
     Node ids equal their position in ``nodes`` (enforced at construction),
     so the id range is contiguous by construction.  Semantic rules such as
     determinism and state consistency are checked by :func:`validate`.
+    ``num_states`` and ``vocab_size`` must be integers; a numpy integer is
+    stored as an int.
     """
 
     nodes: tuple[Node, ...]
@@ -179,6 +197,9 @@ class Lattice:
     vocab_size: int
 
     def __post_init__(self):
+        if type(self.num_states) is not int or type(self.vocab_size) is not int:
+            _store_int(self, "num_states", "lattice num_states")
+            _store_int(self, "vocab_size", "lattice vocab_size")
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         for i, n in enumerate(self.nodes):

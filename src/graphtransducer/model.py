@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import TopologySpec, build_lattice
-from .loss import InfeasibleLengthError, log_marginal, loss_and_grad
+from .loss import InfeasibleLengthError, batch_loss_and_grad, log_marginal, loss_and_grad
 from .posteriors import PosteriorTensor, read_tensor, write_tensor
 
 PARAM_NAMES = ("enc_w", "embed", "join_w", "bias")
@@ -93,8 +93,12 @@ def _utterance_grads(model: ToyModel, utt: Utterance, kind: str):
     feats, idx, act = _activations(model, utt)
     lat = build_lattice(TopologySpec(kind, utt.labels, model.vocab_size))
     result = loss_and_grad(lat, PosteriorTensor(act @ model.join_w.T))
-    d_logits = result.grad  # (T, I, K)
+    return result.loss, _backprop(model, feats, idx, act, result.grad)
 
+
+def _backprop(model: ToyModel, feats: np.ndarray, idx: np.ndarray, act: np.ndarray,
+              d_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients of one utterance from its (T, I, K) logit gradient."""
     d_act = d_logits @ model.join_w  # (T, I, H)
     d_pre = d_act * (1.0 - act**2)
     grads = {
@@ -104,24 +108,32 @@ def _utterance_grads(model: ToyModel, utt: Utterance, kind: str):
         "embed": np.zeros_like(model.embed),
     }
     np.add.at(grads["embed"], idx, d_pre.sum(axis=0))
-    return result.loss, grads
+    return grads
 
 
 def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     """One full-batch gradient step; returns the batch mean loss.
 
-    Utterances whose frame count cannot realize their labels under the
-    topology are skipped with a warning rather than corrupting the step.
+    The model runs forward per utterance, one :func:`batch_loss_and_grad`
+    call scores the whole batch, and the gradients are backpropagated and
+    summed per utterance in batch order.  Utterances whose frame count
+    cannot realize their labels under the topology are skipped with a
+    warning rather than corrupting the step.
     """
+    acts = [_activations(model, utt) for utt in batch]
+    results = batch_loss_and_grad(
+        (build_lattice(TopologySpec(kind, utt.labels, model.vocab_size)),
+         PosteriorTensor(act @ model.join_w.T))
+        for utt, (_, _, act) in zip(batch, acts)
+    )
     losses = []
     total = {name: np.zeros_like(p) for name, p in model.params().items()}
-    for i, utt in enumerate(batch):
-        try:
-            loss, grads = _utterance_grads(model, utt, kind)
-        except InfeasibleLengthError as exc:
-            warnings.warn(f"skipping infeasible utterance {i}: {exc}", stacklevel=2)
+    for i, (result, (feats, idx, act)) in enumerate(zip(results, acts)):
+        if isinstance(result, InfeasibleLengthError):
+            warnings.warn(f"skipping infeasible utterance {i}: {result}", stacklevel=2)
             continue
-        losses.append(loss)
+        losses.append(result.loss)
+        grads = _backprop(model, feats, idx, act, result.grad)
         for name in total:
             total[name] += grads[name]
     if not losses:

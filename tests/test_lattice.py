@@ -372,6 +372,45 @@ def test_edge_rejects_non_integer_state(state):
         Edge(0, 1, 0.0, state)
 
 
+@pytest.mark.parametrize("src, dst", [(1.5, 1), (1, 1.0), (True, 1), (0, "1"), (np.float64(1.0), 1)],
+                         ids=["float-src", "float-dst", "bool", "str", "numpy-float"])
+def test_edge_rejects_non_integer_endpoint(src, dst):
+    # a ctc-like self-loop Edge(1.5, 1, ...) built, passed validate and
+    # scored as 1 -> 1; the batched loss also offsets node ids by integers
+    with pytest.raises(ValueError, match="is not an integer"):
+        Edge(src, dst, 0.0, 0)
+
+
+@pytest.mark.parametrize("node_id", [1.0, True, "1", np.float64(1.0)],
+                         ids=["float", "bool", "str", "numpy-float"])
+def test_node_rejects_non_integer_id(node_id):
+    with pytest.raises(ValueError, match="node id .* is not an integer"):
+        Node(node_id, BLANK)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_states", 2.0), ("num_states", True), ("vocab_size", 2.5), ("vocab_size", "2"),
+])
+def test_lattice_rejects_non_integer_sizes(field, value):
+    built = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))
+    sizes = {"num_states": built.num_states, "vocab_size": built.vocab_size, field: value}
+    with pytest.raises(ValueError, match=f"lattice {field} .* is not an integer"):
+        Lattice(built.nodes, built.edges, **sizes)
+
+
+def test_numpy_integer_ids_and_sizes_are_stored_as_ints():
+    built = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))
+    lat = Lattice(
+        tuple(Node(np.int64(n.id), n.label) for n in built.nodes),
+        tuple(Edge(np.int32(e.src), np.int64(e.dst), e.log_weight, e.state) for e in built.edges),
+        np.int64(built.num_states), np.int64(built.vocab_size),
+    )
+    assert lat == built
+    assert all(type(n.id) is int for n in lat.nodes)
+    assert all(type(e.src) is int and type(e.dst) is int for e in lat.edges)
+    assert type(lat.num_states) is int and type(lat.vocab_size) is int
+
+
 def test_numpy_integer_labels_and_states_score_as_ints():
     # a numpy-integer label must emit: a non-emitting blank node would pass
     # validate and give a finite wrong marginal

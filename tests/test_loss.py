@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtransducer import (
     BLANK,
     CTC_LIKE,
     MONO_RNNT,
+    TOPOLOGIES,
     Edge,
     InfeasibleLengthError,
     Lattice,
@@ -14,6 +17,7 @@ from graphtransducer import (
     PosteriorTensor,
     TopologySpec,
     backward_vars,
+    batch_loss_and_grad,
     brute_force_marginal,
     build_ctc_like_graph,
     build_lattice,
@@ -385,3 +389,48 @@ def test_occupancy_gradient_at_larger_shapes(kind):
         occ = grad[:, :, top] / np.exp(post.logprobs[:, :, top])
         assert np.abs(occ.sum(axis=1) - 1.0).max() < 1e-9
         assert np.all(grad[:, n_labels + 1:] == 0.0)
+
+
+@st.composite
+def loss_batches(draw):
+    """1-6 (lattice, posteriors) pairs of both topologies with mixed T:
+    repeated labels, -inf edge weights, a Lattice object used again by the
+    next member, and members too short for their labels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        if batch and draw(st.booleans()):
+            lat = batch[-1][0]
+        else:
+            vocab = draw(st.integers(2, 4))
+            labels = tuple(draw(st.lists(st.integers(1, vocab - 1), max_size=4)))
+            lat = build_lattice(TopologySpec(draw(st.sampled_from(TOPOLOGIES)), labels, vocab))
+            cut = draw(st.sets(st.integers(0, len(lat.edges) - 1), max_size=2))
+            edges = tuple(
+                Edge(e.src, e.dst, NEG_INF if j in cut else e.log_weight, e.state)
+                for j, e in enumerate(lat.edges)
+            )
+            lat = Lattice(lat.nodes, edges, lat.num_states, lat.vocab_size)
+        frames = max(1, lat.min_emissions + draw(st.integers(-2, 4)))
+        batch.append((lat, rand_post(int(rng.integers(2**32)), frames, lat.num_states, lat.vocab_size)))
+    return batch
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(loss_batches())
+def test_batch_equals_per_utterance_bit_for_bit(batch):
+    outcomes = batch_loss_and_grad(batch)
+    assert len(outcomes) == len(batch)
+    for (lat, post), outcome in zip(batch, outcomes):
+        try:
+            alone = loss_and_grad(lat, post)
+        except InfeasibleLengthError as exc:
+            assert isinstance(outcome, InfeasibleLengthError)
+            assert (outcome.frames, outcome.min_frames) == (exc.frames, exc.min_frames)
+            continue
+        assert outcome.loss == alone.loss and outcome.log_marginal == alone.log_marginal
+        assert np.array_equal(outcome.grad, alone.grad)
+
+
+def test_empty_batch_gives_no_results():
+    assert batch_loss_and_grad([]) == []

@@ -116,14 +116,17 @@ def test_single_utterance_memorization():
 def test_infeasible_utterance_is_skipped_with_warning():
     data = make_synthetic_task(14, 2, 6, 3)
     short = Utterance(np.zeros((1, 6)), (1, 2, 3))  # one frame cannot carry three labels
-    m = ToyModel(6, 8, 6, lr=0.1, seed=3)
-    twin = clone(m)
-    with pytest.warns(UserWarning, match="infeasible"):
-        with_bad = train_step(m, data + [short], CTC_LIKE)
-    without_bad = train_step(twin, data, CTC_LIKE)
-    assert with_bad == without_bad
-    for name in ("enc_w", "embed", "join_w", "bias"):
-        assert np.array_equal(getattr(m, name), getattr(twin, name))
+    # the batch's longest utterance, so it sets the padded frame count
+    long = Utterance(np.zeros((30, 6)), (1, 2, 3, 4, 5) * 8)
+    for batch, index in ((data + [short], 2), (data + [long], 2), ([short] + data, 0)):
+        m = ToyModel(6, 8, 6, lr=0.1, seed=3)
+        twin = clone(m)
+        with pytest.warns(UserWarning, match=f"skipping infeasible utterance {index}:"):
+            with_bad = train_step(m, batch, CTC_LIKE)
+        without_bad = train_step(twin, data, CTC_LIKE)
+        assert with_bad == without_bad
+        for name in ("enc_w", "embed", "join_w", "bias"):
+            assert np.array_equal(getattr(m, name), getattr(twin, name))
 
 
 def test_batch_of_only_infeasible_utterances_raises():
@@ -163,6 +166,32 @@ def test_training_curve_is_smoothly_nonincreasing():
     losses = np.array([train_step(m, data, CTC_LIKE) for _ in range(200)])
     smoothed = np.convolve(losses, np.ones(10) / 10, mode="valid")
     assert np.all(np.diff(smoothed[50:]) <= 1e-9)
+
+
+# losses of the per-utterance loss loop, which the batched loss reproduces bit for bit
+PINNED_LOSSES = {
+    CTC_LIKE: [
+        9.735075841003399, 5.659921697483734, 4.239732467716932, 3.493651722356577,
+        2.7839077395340723, 2.190763138277808, 1.701734994759993, 1.3177995597674967,
+        1.0333735978166367, 0.8314247094939875, 0.6885533832734232, 0.585020013052904,
+        0.5074411749537586, 0.44716481809449055, 0.3984481916452176, 0.3573021864022339,
+        0.32097167806324645, 0.2879296504716383, 0.2579444211492266, 0.23152646344504882,
+    ],
+    MONO_RNNT: [
+        12.500066014182, 5.543900212030435, 5.1256278731291856, 4.890584458497704,
+        5.100560654704501, 5.539874138712893, 6.1312848947415635, 4.051679709239243,
+        4.105949641293654, 3.2216638173492456, 3.208452423369045, 2.799429745012812,
+        2.7913208205584614, 2.4653515834458424, 2.420218990832144, 2.1243617086900897,
+        2.0295726057964862, 1.7792788363264784, 1.65825520808099, 1.4669545758389118,
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
+def test_training_trajectory_is_pinned(kind):
+    data = make_synthetic_task(7, 20, 6, 5)
+    m = ToyModel(6, 32, 6, lr=0.3, seed=7)
+    assert [train_step(m, data, kind) for _ in range(20)] == PINNED_LOSSES[kind]
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
