@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import TopologySpec, build_lattice
-from .loss import InfeasibleLengthError, batch_loss_and_grad, log_marginal, loss_and_grad
+from .loss import InfeasibleLengthError, batch_loss_and_grad, log_marginal
+# unused here; kept as a module attribute because the train-toy benchmark's
+# traced run (benchmarks/workloads.py) wraps ``model.loss_and_grad``
+from .loss import loss_and_grad  # noqa: F401
 from .posteriors import PosteriorTensor, read_tensor, write_tensor
 
 PARAM_NAMES = ("enc_w", "embed", "join_w", "bias")
@@ -87,13 +90,6 @@ def utterance_loss(model: ToyModel, utt: Utterance, kind: str) -> float:
     lat = build_lattice(TopologySpec(kind, utt.labels, model.vocab_size))
     post = PosteriorTensor(forward_logits(model, utt))
     return -log_marginal(lat, post)
-
-
-def _utterance_grads(model: ToyModel, utt: Utterance, kind: str):
-    feats, idx, act = _activations(model, utt)
-    lat = build_lattice(TopologySpec(kind, utt.labels, model.vocab_size))
-    result = loss_and_grad(lat, PosteriorTensor(act @ model.join_w.T))
-    return result.loss, _backprop(model, feats, idx, act, result.grad)
 
 
 def _backprop(model: ToyModel, feats: np.ndarray, idx: np.ndarray, act: np.ndarray,

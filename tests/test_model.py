@@ -141,9 +141,11 @@ def test_batch_of_only_infeasible_utterances_raises():
 def test_joiner_gradient_matches_finite_differences(kind):
     data = make_synthetic_task(15, 1, 4, 2)
     m = ToyModel(4, 6, 4, lr=1.0, seed=4)
-    from graphtransducer.model import _utterance_grads
-
-    _, grads = _utterance_grads(m, data[0], kind)
+    # with lr 1 and one utterance, a train_step moves each parameter by
+    # exactly its gradient, so this checks the batched loss and backprop
+    stepped = clone(m)
+    train_step(stepped, data[:1], kind)
+    grads = {name: value - getattr(stepped, name) for name, value in m.params().items()}
     step = 1e-6
     for name in ("join_w", "enc_w", "bias", "embed"):
         param = getattr(m, name)
