@@ -25,7 +25,7 @@ from .lattice import (
 )
 from .loss import InfeasibleLengthError
 from .model import (
-    ToyModel, load_model, make_synthetic_task, save_model, sequence_score, train_step,
+    ToyModel, load_model, make_synthetic_task, save_model, train_step,
 )
 
 PASS, FAIL, USAGE_ERROR, DATA_ERROR = 0, 1, 2, 3
@@ -221,8 +221,8 @@ def _cmd_decode(args) -> int:
         greedy_hyp = greedy_search(provider, args.topology)
         if args.search == PREFIX_BEAM:
             hyp, _ = beam_search(provider, args.config, lm)
-            beam_lp = sequence_score(model, utt, hyp, args.topology)
-            greedy_lp = sequence_score(model, utt, greedy_hyp, args.topology)
+            beam_lp = provider.sequence_score(hyp, args.topology)
+            greedy_lp = provider.sequence_score(greedy_hyp, args.topology)
             extra = f" beam_logp={beam_lp:.9g} greedy_logp={greedy_lp:.9g}"
         else:
             hyp = greedy_hyp

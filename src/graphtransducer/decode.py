@@ -19,7 +19,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .lattice import BLANK, CTC_LIKE, TOPOLOGIES
+from .lattice import BLANK, CTC_LIKE, TOPOLOGIES, TopologySpec, _is_int, build_lattice
+from .loss import InfeasibleLengthError, log_marginal
 from .model import ToyModel, Utterance, forward_logits
 from .posteriors import PosteriorTensor
 
@@ -41,18 +42,24 @@ def _log_add(a: float, b: float) -> float:
 
 
 class TensorPosteriors:
-    """Posterior source for decoding: ``log_posteriors(prefix, t)`` is the
-    log-softmax row for frame t (1-based) in the decoder state the prefix
-    selects, here its length clamped to the last state of a fixed tensor."""
+    """Posterior source for decoding: row ``logprobs[t - 1, state]`` is the
+    log-softmax row for frame t (1-based) in a decoder state.
+    ``state(length, last)`` is the state a prefix of that length ending in
+    label ``last`` (blank for the empty prefix) selects, here its length
+    clamped to the last state of a fixed tensor."""
 
     def __init__(self, post: PosteriorTensor):
-        self._lp = post.logprobs
+        self.logprobs = post.logprobs
         self.num_frames = post.num_frames
         self.vocab_size = post.vocab_size
+        self._last_state = post.num_states - 1
+
+    def state(self, length: int, last: int) -> int:
+        return min(length, self._last_state)
 
     def log_posteriors(self, prefix: tuple[int, ...], t: int) -> np.ndarray:
-        state = min(len(prefix), self._lp.shape[1] - 1)
-        return self._lp[t - 1, state]
+        last = prefix[-1] if prefix else BLANK
+        return self.logprobs[t - 1, self.state(len(prefix), last)]
 
 
 class ModelPosteriors(TensorPosteriors):
@@ -62,17 +69,45 @@ class ModelPosteriors(TensorPosteriors):
 
     def __init__(self, model: ToyModel, features: np.ndarray):
         every_label = Utterance(features, tuple(range(1, model.vocab_size)))
-        super().__init__(PosteriorTensor(forward_logits(model, every_label)))
+        post = PosteriorTensor(forward_logits(model, every_label))
+        super().__init__(post)
+        self.logits = post.logits
 
-    def log_posteriors(self, prefix: tuple[int, ...], t: int) -> np.ndarray:
-        return self._lp[t - 1, prefix[-1] if prefix else 0]
+    def state(self, length: int, last: int) -> int:
+        return last
+
+    def sequence_score(self, labels: tuple[int, ...], kind: str) -> float:
+        """Log marginal of a label sequence under the model's posteriors for
+        this utterance, or -inf when the sequence is infeasible.  The logits
+        rows (0, h1, ..., hU) of the one table are the decoder states that a
+        forward over the sequence itself would compute."""
+        labels = tuple(labels)
+        lat = build_lattice(TopologySpec(kind, labels, self.vocab_size))
+        try:
+            return log_marginal(lat, PosteriorTensor(self.logits[:, (BLANK,) + labels]))
+        except InfeasibleLengthError:
+            return NEG_INF
+
+
+class _Zeros:
+    """A row of zero scores as long as any vocabulary."""
+
+    def __getitem__(self, label: int) -> float:
+        return 0.0
 
 
 class UniformLm:
-    """No-op language model: log probability 0 for every prefix."""
+    """No-op language model: log probability 0 for every prefix, over any
+    vocabulary."""
+
+    vocab_size = None
+    _row = _Zeros()
 
     def extension_score(self, context: tuple[int, ...], label: int) -> float:
         return 0.0
+
+    def extension_row(self, context: tuple[int, ...]) -> _Zeros:
+        return self._row
 
     def score(self, prefix: tuple[int, ...]) -> float:
         return 0.0
@@ -90,12 +125,16 @@ class CountsLm:
     ``extension_score(context, label)`` is log P(label | context), and
     ``score(prefix)`` is the left-to-right sum of the extension scores of
     its labels, so a search that adds extension scores as it lengthens a
-    prefix gets ``score`` bit for bit.
+    prefix gets ``score`` bit for bit.  ``extension_row(context)`` holds
+    the extension scores of every label after a context, each computed by
+    ``extension_score``; rows are cached on first use, one per seen
+    context and one that every unseen context shares.
     """
 
     def __init__(self, counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab_size: int):
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be at least 2")
+        if not _is_int(vocab_size) or vocab_size < 2:
+            raise ValueError(f"vocab_size must be an integer of at least 2; got {vocab_size!r}")
+        vocab_size = int(vocab_size)
         for ctx, by_label in counts.items():
             for label, count in by_label.items():
                 if not 1 <= label < vocab_size:
@@ -109,7 +148,9 @@ class CountsLm:
         self._counts = {tuple(ctx): dict(by_label) for ctx, by_label in counts.items()}
         self._totals = {ctx: sum(v.values()) for ctx, v in self._counts.items()}
         self._labels = vocab_size - 1  # non-blank labels
+        self.vocab_size = vocab_size
         self.order = 1 + max((len(ctx) for ctx in self._counts), default=0)
+        self._rows: dict[tuple[int, ...] | None, list[float]] = {}
 
     @classmethod
     def load(cls, path, vocab_size: int) -> "CountsLm":
@@ -135,12 +176,27 @@ class CountsLm:
                 counts[ctx][label] = counts[ctx].get(label, 0) + count
         return cls(counts, vocab_size)
 
+    def _context(self, context: tuple[int, ...]) -> tuple[int, ...]:
+        """The last order - 1 labels of a context, which the LM conditions on."""
+        return tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+
     def extension_score(self, context: tuple[int, ...], label: int) -> float:
-        ctx = tuple(context[-(self.order - 1):]) if self.order > 1 else ()
+        ctx = self._context(context)
         by_label = self._counts.get(ctx)
         if by_label is None:
             return -math.log(self._labels)
         return math.log(by_label.get(label, 0) + 1) - math.log(self._totals[ctx] + self._labels)
+
+    def extension_row(self, context: tuple[int, ...]) -> list[float]:
+        """``extension_score(context, k)`` for every label k, indexed by
+        label; blank, which the LM never scores, gets -inf."""
+        ctx = self._context(context)
+        key = ctx if ctx in self._counts else None  # unseen contexts share a row
+        row = self._rows.get(key)
+        if row is None:
+            row = [NEG_INF] + [self.extension_score(ctx, k) for k in range(1, self.vocab_size)]
+            self._rows[key] = row
+        return row
 
     def score(self, prefix: tuple[int, ...]) -> float:
         # an explicit loop, not sum(), whose float summation is compensated
@@ -195,6 +251,21 @@ def prune(
     return [h for h in kept if scores[h] >= floor]
 
 
+class _FrameRows(dict):
+    """One frame's posterior rows by decoder state, each read on first use
+    as the row's floats and its labels above the theta1 floor; blank is
+    always kept apart."""
+
+    def __init__(self, frame: np.ndarray, log_theta1: float):
+        super().__init__()
+        self._frame, self._floor = frame, log_theta1
+
+    def __missing__(self, state: int) -> tuple[list[float], list[int]]:
+        lp = self._frame[state].tolist()
+        self[state] = found = (lp, [k for k in range(1, len(lp)) if lp[k] > self._floor])
+        return found
+
+
 def beam_search(
     provider: TensorPosteriors, cfg: DecodeConfig, lm=None
 ) -> tuple[tuple[int, ...], float]:
@@ -213,87 +284,111 @@ def beam_search(
 
     A hypothesis scores log(p_b + p_nb) + lm_weight * LM(prefix) +
     insertion_bonus * log(len(prefix)).  Scoring is incremental: each
-    hypothesis carries its LM log probability, a prefix continued in place
-    keeps it, and a lengthened prefix ``h + (k,)`` adds
-    ``lm.extension_score(h, k)`` to its parent's when it appears; the value
-    then travels with the prefix from frame to frame while it stays scored.
-    No prefix is rescored from scratch, so the LM needs only
-    ``extension_score(context, label)``.  The running sum equals the LM's
-    whole-prefix ``score``, which is the left-to-right sum of the same
-    terms.
+    hypothesis carries its LM log probability, and a lengthened prefix
+    ``h + (k,)`` adds entry k of ``lm.extension_row(h)`` to its parent's.
+    An LM therefore fuses when it has ``extension_row(context)``, the
+    extension scores after a context indexed by label, and ``vocab_size``,
+    which must equal the provider's unless it is None (any vocabulary); a
+    mismatch raises ``ValueError`` before the first frame.  The running sum
+    equals the LM's whole-prefix ``score`` when its rows hold the terms of
+    that sum, as ``CountsLm``'s do.
+
+    Within a frame a prefix is keyed by an integer, ``key(()) = 0`` and
+    ``key(h + (k,)) = key(h) * V + k``, which is unique because labels run
+    1..V-1; its tuple is built only when it reaches pruning.  Each frame
+    reads its posterior row once per decoder state, the state that
+    ``provider.state(length, last)`` picks for a prefix.  Each probability
+    slot receives at most two contributions and log-add-exp is commutative
+    bit for bit, so the order in which prefixes expand changes no result.
     """
     if lm is None:
         lm = UniformLm()
-    extension_score = lm.extension_score
-    weight, bonus = cfg.lm_weight, cfg.insertion_bonus
+    vocab = provider.vocab_size
+    if lm.vocab_size is not None and lm.vocab_size != vocab:
+        raise ValueError(f"the LM scores {lm.vocab_size} labels but the posteriors have {vocab}")
+    extension_row, state_of = lm.extension_row, provider.state
+    weight, bonus, max_hyps = cfg.lm_weight, cfg.insertion_bonus, cfg.beam_size
     log_theta1 = math.log(cfg.theta1) if cfg.theta1 > 0.0 else NEG_INF
+    # the insertion bonus by prefix length: it counts emitted labels, and an
+    # empty prefix takes none rather than the singular 0^beta
+    bonus_at = [bonus * math.log(n) if n else 0.0 for n in range(provider.num_frames + 1)]
 
-    # one record per prefix: [p_b, p_nb, LM log probability], log domain,
-    # with the mass split by whether the alignment ends in blank
-    prev: dict[tuple[int, ...], list] = {(): [0.0, NEG_INF, 0.0]}
-    pruned: list[tuple[int, ...]] = [()]
-    scores = {(): 0.0}  # mass 1, LM log probability 0, no bonus
-    for t in range(1, provider.num_frames + 1):
-        cur: dict[tuple[int, ...], list] = {}
-        pruned_set = set(pruned)
-        for prefix in pruned:
-            row = provider.log_posteriors(prefix, t)
-            # labels above the theta1 floor; blank is always kept apart
-            candidates = (row > log_theta1).nonzero()[0].tolist()
-            if candidates and candidates[0] == BLANK:
-                del candidates[0]
-            lp = row.tolist()
-            p_b, p_nb, lm_score = prev[prefix]
-            total = _log_add(p_b, p_nb)
+    # one record per prefix key: [p_b, p_nb, LM log probability, mass,
+    # length, prefix, label].  p_b and p_nb split the prefix's probability
+    # by whether the alignment ends in blank, in the log domain; mass is
+    # log(p_b + p_nb), set when the record is scored.  Until it reaches
+    # pruning a lengthened prefix holds its parent's prefix and its own
+    # last label; otherwise the label is None.
+    prev = {0: [0.0, NEG_INF, 0.0, 0.0, 0, (), None]}
+    beam = {0: ()}  # surviving prefixes by key, best first
+    ranked = {(): 0.0}  # mass 1, LM log probability 0, no bonus
+    for frame in provider.logprobs:
+        rows = _FrameRows(frame, log_theta1)
+        cur: dict[int, list] = {}
+        for key, prefix in beam.items():
+            p_b, p_nb, lm_score, total, n = prev[key][:5]
+            last = prefix[-1] if n else BLANK
+            state = state_of(n, last)
+            lp, labels = rows[state]
 
-            # blank keeps the prefix; a final label absent from the local
-            # candidate set still continues the non-blank mass in place
-            rec = cur.get(prefix)
+            # blank keeps the prefix, and the final label continues its
+            # non-blank mass in place
+            rec = cur.get(key)
             if rec is None:
-                rec = cur[prefix] = [NEG_INF, NEG_INF, lm_score]
-            rec[0] = _log_add(rec[0], lp[BLANK] + total)
-            last = prefix[-1] if prefix else None
-            if last is not None and not lp[last] > log_theta1:
+                own = lp[last] + p_nb if n else NEG_INF
+                cur[key] = [lp[BLANK] + total, own, lm_score, None, n, prefix, None]
+            else:
+                rec[0] = lp[BLANK] + total
                 rec[1] = _log_add(rec[1], lp[last] + p_nb)
 
-            for k in candidates:
-                longer = prefix + (k,)
-                # the record `longer` had last frame, if it was scored then
-                earlier = prev.get(longer)
-                rec_longer = cur.get(longer)
-                if rec_longer is None:
-                    lm_longer = (
-                        earlier[2] if earlier is not None
-                        else lm_score + extension_score(prefix, k)
-                    )
-                    rec_longer = cur[longer] = [NEG_INF, NEG_INF, lm_longer]
-                if k == last:
-                    rec_longer[1] = _log_add(rec_longer[1], lp[k] + p_b)
-                    rec[1] = _log_add(rec[1], lp[k] + p_nb)
+            base, lm_row = key * vocab, None
+            for k in labels:
+                child = base + k
+                gain = lp[k] + (p_b if k == last else total)
+                earlier = prev.get(child)
+                if earlier is None:
+                    if lm_row is None:
+                        lm_row = extension_row(prefix)
+                    cur[child] = [NEG_INF, gain, lm_score + lm_row[k], None, n + 1, prefix, k]
+                    continue
+                rec = cur.get(child)
+                if rec is not None:  # a survivor, already continued in place
+                    rec[1] = _log_add(rec[1], gain)
+                elif child in beam:  # a survivor, continued in place later
+                    cur[child] = [NEG_INF, gain, earlier[2], None, n + 1, beam[child], None]
                 else:
-                    rec_longer[1] = _log_add(rec_longer[1], lp[k] + total)
-                if earlier is not None and longer not in pruned_set:
                     # scored last frame but pruned away: revive its mass
-                    row_longer = provider.log_posteriors(longer, t)
-                    rec_longer[0] = _log_add(
-                        rec_longer[0], float(row_longer[BLANK]) + _log_add(earlier[0], earlier[1])
-                    )
-                    rec_longer[1] = _log_add(rec_longer[1], float(row_longer[k]) + earlier[1])
+                    lp_child = rows[state_of(n + 1, k)][0]
+                    cur[child] = [lp_child[BLANK] + earlier[3],
+                                  _log_add(gain, lp_child[k] + earlier[1]),
+                                  earlier[2], None, n + 1, prefix, k]
 
-        scores = {}
-        for prefix, (p_b, p_nb, lm_score) in cur.items():
-            score = _log_add(p_b, p_nb) + weight * lm_score
-            # the insertion bonus counts emitted labels; an empty prefix
-            # takes no bonus rather than the singular 0^beta
-            if bonus != 0.0 and prefix:
-                score += bonus * math.log(len(prefix))
-            scores[prefix] = score
-        pruned = prune(cur.keys(), scores, cfg.beam_size, cfg.theta2)
-        assert pruned, "pruning emptied the beam despite the forced blank"
+        scores = []
+        for rec in cur.values():
+            p_b = rec[0]
+            # _log_add inlined where one side has no mass yet
+            rec[3] = mass = rec[1] if p_b == NEG_INF else _log_add(p_b, rec[1])
+            score = mass + weight * rec[2]
+            if bonus != 0.0 and rec[4]:
+                score += bonus_at[rec[4]]
+            scores.append(score)
+        # every record scoring at least the P-th best reaches prune, ties
+        # included; prune breaks the ties and applies theta2
+        cut = sorted(scores, reverse=True)[max_hyps - 1] if len(scores) > max_hyps else NEG_INF
+        ranked, keys = {}, {}
+        for (key, rec), score in zip(cur.items(), scores):
+            if score >= cut:
+                if rec[6] is not None:
+                    rec[5], rec[6] = rec[5] + (rec[6],), None
+                ranked[rec[5]] = score
+                keys[rec[5]] = key
+        kept = prune(ranked, ranked, max_hyps, cfg.theta2)
+        assert kept, "pruning emptied the beam despite the forced blank"
+        beam = {keys[prefix]: prefix for prefix in kept}
         prev = cur
 
-    best = pruned[0]
-    return best, float(scores[best])
+    best = next(iter(beam.values()))
+    return best, ranked[best]
 
 
 def greedy_search(provider: TensorPosteriors, kind: str) -> tuple[int, ...]:

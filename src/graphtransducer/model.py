@@ -140,15 +140,6 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     return float(np.mean(losses))
 
 
-def sequence_score(model: ToyModel, utt: Utterance, labels: tuple[int, ...], kind: str) -> float:
-    """Log marginal of an arbitrary label sequence under the model's
-    posteriors for this utterance; -inf when the sequence is infeasible."""
-    try:
-        return -utterance_loss(model, Utterance(utt.features, tuple(labels)), kind)
-    except InfeasibleLengthError:
-        return float("-inf")
-
-
 def make_synthetic_task(seed: int, count: int, vocab: int, max_len: int) -> list[Utterance]:
     """Deterministic toy dataset: each label becomes 1-3 noisy one-hot
     frames preceded by a blank-ish separator frame (plus one trailing), so

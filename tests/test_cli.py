@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import graphtransducer.decode
+import graphtransducer.model
 from graphtransducer import ToyModel, deserialize, save_model, validate
 from graphtransducer.cli import main
 
@@ -150,6 +152,47 @@ def test_beam_decode_dominates_greedy_and_ignores_idle_lm(tmp_path, capsys):
                         "--lm-weight", "0", "--insertion-bonus", "0")
     # identical transcripts and scores apart from the config echo line
     assert with_lm.splitlines()[1:] == out.splitlines()[1:]
+
+
+# stdout of the search that keyed prefixes by tuple and ran the model
+# forward once more for each scored hypothesis
+PINNED_DECODE = """\
+# decode seed=3 utts=6 vocab=6 max_len=4 topology=ctc-like search=prefix-beam beam=4 theta1=0.01 theta2=8 lm_weight=1 insertion_bonus=0.5 lm=counts
+utt=0 ref=1,2,1,2 hyp=1,2,1 edit=1 beam_logp=-2.50793862 greedy_logp=-2.21146952
+utt=1 ref=1 hyp=1 edit=0 beam_logp=-0.387023706 greedy_logp=-0.387023706
+utt=2 ref=5 hyp=- edit=1 beam_logp=-2.69948064 greedy_logp=-2.69948064
+utt=3 ref=2,1,4 hyp=1 edit=2 beam_logp=-4.45550488 greedy_logp=-2.81798986
+utt=4 ref=2,5 hyp=2 edit=1 beam_logp=-1.4266139 greedy_logp=-1.4266139
+utt=5 ref=5 hyp=- edit=1 beam_logp=-1.55953288 greedy_logp=-0.837671937
+exact_match=1/6 rate=0.1667 mean_edit_distance=1.0000
+"""
+
+
+def test_prefix_beam_decode_with_counts_lm_is_pinned(tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "run"
+    run(capsys, "train-toy", "--seed", "3", "--utts", "6", "--max-len", "4",
+        "--steps", "8", "--hidden", "16", "--out", str(out_dir))
+    counts = tmp_path / "counts.tsv"
+    counts.write_text("\t1\t3\n\t2\t2\n\t4\t1\n1\t2\t4\n2\t3\t2\n1 2\t3\t5\n2 3\t1\t2\n",
+                      encoding="utf-8")
+    forward_logits, forwards = graphtransducer.model.forward_logits, []
+
+    def counted(*args):
+        forwards.append(args)
+        return forward_logits(*args)
+
+    for module in (graphtransducer.model, graphtransducer.decode):
+        monkeypatch.setattr(module, "forward_logits", counted)
+    code, out, _ = run(
+        capsys, "decode", "--ckpt", str(out_dir / "model.ckpt"), "--seed", "3", "--utts", "6",
+        "--max-len", "4", "--search", "prefix-beam", "--beam", "4", "--theta1", "0.01",
+        "--theta2", "8", "--lm-counts", str(counts), "--lm-weight", "1.0",
+        "--insertion-bonus", "0.5",
+    )
+    assert code == 0
+    assert out == PINNED_DECODE
+    # one model forward per utterance scores both hypotheses too
+    assert len(forwards) == 6
 
 
 def test_decode_rejects_vocab_mismatch(tmp_path, capsys):

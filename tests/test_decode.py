@@ -9,8 +9,10 @@ from graphtransducer import (
     MONO_RNNT,
     CountsLm,
     DecodeConfig,
+    ModelPosteriors,
     PosteriorTensor,
     TensorPosteriors,
+    ToyModel,
     UniformLm,
     beam_search,
     edit_distance,
@@ -294,6 +296,102 @@ PINNED = [
 def test_fused_pruned_search_is_pinned(seed, theta2, want, want_score):
     provider, lm = fused_case(seed)
     assert beam_search(provider, replace(FUSED, theta2=theta2), lm) == (want, want_score)
+
+
+def model_case(seed):
+    """A seeded toy model's posteriors, whose decoder state is the last
+    label, with an order-3 LM."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(0.0, 3.0, (30, 5))
+    history = [rng.integers(1, 6, 12).tolist() for _ in range(20)]
+    lm = CountsLm(ngram_counts(history, 3), 6)
+    return ModelPosteriors(ToyModel(5, 16, 6, seed=seed), features), lm
+
+
+def tied_case(seed, frames=8, vocab=4):
+    """Integer logits shared by every decoder state, so that many prefixes
+    score exactly alike."""
+    rng = np.random.default_rng(seed)
+    row = rng.integers(-1, 2, (frames, 1, vocab)).astype(float)
+    return TensorPosteriors(PosteriorTensor(np.tile(row, (1, frames + 1, 1))))
+
+
+def bonus_case(seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, 1.0, (40, 12, 8))
+    logits[np.arange(40), :, rng.integers(0, 8, 40)] += 3.0
+    return TensorPosteriors(PosteriorTensor(logits))
+
+
+# results of the search that keyed prefixes by tuple and called
+# extension_score once per new candidate
+PINNED_MODEL = [
+    (0, (3, 5, 4, 5, 1, 2, 5, 2, 3, 2, 5, 1, 5), -26.20040091741535),
+    (1, (3, 4, 1, 5, 3, 5, 4, 3, 1, 3, 5, 1), -32.21814272339871),
+]
+
+
+@pytest.mark.parametrize("seed, want, want_score", PINNED_MODEL)
+def test_fused_search_on_model_posteriors_is_pinned(seed, want, want_score):
+    provider, lm = model_case(seed)
+    assert beam_search(provider, FUSED, lm) == (want, want_score)
+
+
+# P cuts through equal scores, so which of the tied prefixes survive rests
+# on the tie-break alone: breaking ties the other way changes both results
+PINNED_TIES = [
+    (0, 4, (1, 3, 2, 1), -3.69162451393126),
+    (3, 5, (1, 3, 1, 2, 1), -4.199187384396565),
+]
+
+
+@pytest.mark.parametrize("seed, beam_size, want, want_score", PINNED_TIES)
+def test_search_with_ties_at_the_cut_is_pinned(seed, beam_size, want, want_score):
+    cfg = DecodeConfig(beam_size=beam_size, theta1=0.0)
+    assert beam_search(tied_case(seed), cfg) == (want, want_score)
+
+
+def test_search_without_lm_and_negative_bonus_is_pinned():
+    cfg = DecodeConfig(beam_size=4, theta1=0.05, theta2=6.0, insertion_bonus=-0.7)
+    want = (6, 1, 6, 5, 4, 5, 1, 7, 5, 7, 5, 3, 7, 4, 2, 7, 6, 5, 3, 6, 7, 1, 4, 6, 2, 1, 6, 7, 4,
+            1, 6, 7, 6, 5, 3)
+    assert beam_search(bonus_case(0), cfg, None) == (want, -20.802857522234543)
+
+
+def test_counts_lm_rows_are_its_extension_scores():
+    lm = CountsLm({(): {1: 3, 2: 1}, (1,): {2: 4}, (1, 2): {3: 5, 1: 1}, (2, 3): {1: 2}}, 5)
+    seen = [(), (1,), (1, 2), (2, 3), (4, 1, 2)]  # the last one conditions on (1, 2)
+    unseen = [(3,), (2, 2), (3, 1), (4, 4, 4)]
+    for context in seen + unseen:
+        row = lm.extension_row(context)
+        assert len(row) == 5 and row[0] == -math.inf
+        # bit for bit, not approximately
+        assert row[1:] == [lm.extension_score(context, k) for k in range(1, 5)]
+        assert lm.extension_row(context) is row  # cached
+    assert lm.extension_row((1, 2)) is lm.extension_row((4, 1, 2))
+    assert lm.extension_row((3,)) is lm.extension_row((4, 4, 4))  # one row for all unseen
+
+
+def test_search_rejects_lm_of_another_vocabulary():
+    provider = TensorPosteriors(PosteriorTensor(np.zeros((2, 3, 8))))
+    lm = CountsLm({(): {1: 2}}, vocab_size=3)
+    with pytest.raises(ValueError, match="3 labels but the posteriors have 8"):
+        beam_search(provider, DecodeConfig(beam_size=4, lm_weight=1.0), lm)
+    # the uniform LM fits any vocabulary
+    assert beam_search(provider, DecodeConfig(beam_size=4), UniformLm()) == beam_search(
+        provider, DecodeConfig(beam_size=4)
+    )
+
+
+@pytest.mark.parametrize("vocab_size", [3.5, 3.0, True, "3", None])
+def test_counts_lm_rejects_a_non_integer_vocab_size(vocab_size):
+    with pytest.raises(ValueError, match="vocab_size must be an integer"):
+        CountsLm({(): {1: 2}}, vocab_size)
+
+
+def test_counts_lm_stores_a_numpy_vocab_size_as_int():
+    lm = CountsLm({(): {1: 2}}, np.int64(4))
+    assert type(lm.vocab_size) is int and lm.vocab_size == 4
 
 
 def test_widening_the_beam_never_lowers_the_best_score():

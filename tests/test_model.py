@@ -75,6 +75,20 @@ def test_model_posteriors_match_forward_logits():
             )
 
 
+def test_model_posteriors_score_sequences_from_their_one_table():
+    # a sequence's score gathers its states' rows from the table that the
+    # search reads, in place of a model forward over the sequence itself
+    m = ToyModel(4, 8, 5, seed=3)
+    feats = np.random.default_rng(4).normal(0, 1, (6, 4))
+    provider = ModelPosteriors(m, feats)
+    for kind in (CTC_LIKE, MONO_RNNT):
+        for labels in [(), (2,), (1, 3, 4), (4, 4)]:
+            want = -utterance_loss(m, Utterance(feats, labels), kind)
+            assert provider.sequence_score(labels, kind) == pytest.approx(want, rel=1e-12)
+        # more labels than the 6 frames can emit
+        assert provider.sequence_score((1, 2, 3, 4, 1, 2, 3), kind) == -math.inf
+
+
 def test_synthetic_task_is_deterministic():
     a = make_synthetic_task(11, 10, 6, 5)
     b = make_synthetic_task(11, 10, 6, 5)
