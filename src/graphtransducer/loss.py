@@ -78,16 +78,20 @@ def _scatter_logsumexp(values: np.ndarray, index: np.ndarray, size: int) -> np.n
     return out
 
 
-def _edge_scores(lat: Lattice, lp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """scores[t - 1, e] = log p(t, i_e, k_e) + w_e for each row t of ``lp``,
-    written to ``out`` when given.
+def _edge_scores(
+    lat: Lattice, logits: np.ndarray, lse: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """scores[t - 1, e] = log p(t, i_e, k_e) + w_e for each row t of ``logits``
+    and of their log normalizer ``lse``, written to ``out`` when given.
 
-    The one gather from the (T, S, V) tensor, so the one place that checks
-    every edge's state and label against it.
+    log p(t, i, k) = h[t, i, k] - lse[t, i] is formed here, at the E edges
+    only, so the (T, S, V) log-softmax is never written.  The one gather
+    from the tensor, so the one place that checks every edge's state and
+    label against it.
     """
     em = lat.emit
     if em.src.size:
-        n_states, vocab = lp.shape[1:]
+        n_states, vocab = logits.shape[1:]
         max_state = int(em.state.max())
         if max_state >= n_states:
             raise ValueError(
@@ -97,7 +101,9 @@ def _edge_scores(lat: Lattice, lp: np.ndarray, out: np.ndarray | None = None) ->
         max_label = int(em.label.max())
         if max_label >= vocab:
             raise ValueError(f"lattice emits label {max_label} but the tensor vocab is {vocab}")
-    return np.add(lp[:, em.state, em.label], em.log_weight, out=out)
+    scores = np.subtract(logits[:, em.state, em.label], lse[:, em.state, 0], out=out)
+    scores += em.log_weight
+    return scores
 
 
 def _sweep(table: np.ndarray, scores: np.ndarray, gather: np.ndarray, scatter: np.ndarray):
@@ -160,7 +166,7 @@ def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]) -> tuple[_Stack, np.n
     )
     scores = np.empty((max(frames), edges[-1]))
     for (lat, post), lo, hi in zip(pairs, edges, edges[1:]):
-        _edge_scores(lat, post.logprobs, out=scores[:post.num_frames, lo:hi])
+        _edge_scores(lat, post.logits, post.lse, out=scores[:post.num_frames, lo:hi])
         scores[post.num_frames:, lo:hi] = NEG_INF
     return stack, scores
 
@@ -230,7 +236,8 @@ def marginal(
     if not 1 <= t <= frames:
         raise ValueError(f"frame index t={t} outside 1..{frames}")
     em = lat.emit
-    scores = alpha[t - 1, em.src] + _edge_scores(lat, post.logprobs[t - 1:t])[0] + beta[t, em.dst]
+    edge = _edge_scores(lat, post.logits[t - 1:t], post.lse[t - 1:t])[0]
+    scores = alpha[t - 1, em.src] + edge + beta[t, em.dst]
     return float(_logsumexp(scores)[0])
 
 
@@ -238,16 +245,32 @@ def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     """Log of the total alignment probability; raises
     :class:`InfeasibleLengthError` when it is -inf, that is when no
     alignment of length T exists or every one crosses a zero-weight edge."""
-    alpha = forward_vars(lat, post)
-    return _terminal_log_marginal(lat, alpha[-1, lat.final.src], post.num_frames)
+    stack, scores = _stacked([(lat, post)])
+    (outcome,) = _log_marginals([lat], stack, _forward(stack, scores))
+    if isinstance(outcome, InfeasibleLengthError):
+        raise outcome
+    return outcome
 
 
-def _terminal_log_marginal(lat: Lattice, final_alpha: np.ndarray, frames: int) -> float:
-    """The log marginal from logAlpha row T at the lattice's final nodes."""
-    logp = float(_logsumexp(final_alpha + lat.final.log_weight)[0])
-    if logp == NEG_INF:
-        raise InfeasibleLengthError(frames, lat.min_emissions)
-    return logp
+def _log_marginals(
+    lats: list[Lattice], stack: _Stack, alpha: np.ndarray
+) -> list[float | InfeasibleLengthError]:
+    """Each member's log marginal, the log-sum-exp over its end edges of
+    logAlpha row T_b plus the terminal weight, or the
+    :class:`InfeasibleLengthError` for a -inf one.  One gather reads every
+    end edge; members with the same end-edge count share one
+    :func:`_logsumexp` over the rows of a (members, count) array."""
+    ends = alpha[stack.final_frames, stack.final_src] + stack.final_weight
+    counts = [lat.final.src.size for lat in lats]
+    first = np.cumsum([0] + counts[:-1])
+    logp = np.empty(len(lats))
+    for count in set(counts):
+        members = [b for b, c in enumerate(counts) if c == count]
+        logp[members] = _logsumexp(ends[first[members][:, None] + np.arange(count)])[:, 0]
+    return [
+        InfeasibleLengthError(frames, lat.min_emissions) if value == NEG_INF else float(value)
+        for lat, frames, value in zip(lats, stack.frames, logp)
+    ]
 
 
 def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
@@ -266,10 +289,13 @@ def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
 
         d loss / d h[t, i, k] = p(t, i, k) * occ(t, i) - occ(t, i, k).
 
-    The edge scores w_e + log p(t, i_e, k_e) are gathered once, in one
-    (T, E) array that one recursion reads over the lattice (logAlpha) and
-    over its reverse (logBeta) and that then becomes the occupancy buffer.
-    This is :func:`batch_loss_and_grad` of the one pair.
+    The edge scores w_e + log p(t, i_e, k_e) are gathered once, from the
+    logits and their log normalizer, in one (T, E) array that one recursion
+    reads over the lattice (logAlpha) and over its reverse (logBeta) and
+    that then becomes the occupancy buffer.  The softmax p is formed once,
+    as exp(logits - lse) in the gradient's own buffer, which the
+    occupancies then scale in place; the (T, S, V) log-softmax is never
+    written.  This is :func:`batch_loss_and_grad` of the one pair.
     """
     (outcome,) = batch_loss_and_grad([(lat, post)])
     if isinstance(outcome, InfeasibleLengthError):
@@ -289,9 +315,12 @@ def batch_loss_and_grad(
     with node offsets, as one graph of disjoint parts, and their edge
     scores share one (max T_b, total E) array, -inf past each member's own
     T_b, so each member reads its log marginal from logAlpha row T_b and
-    seeds logBeta at row T_b.  Infeasible members are dropped before the
+    seeds logBeta at row T_b.  The log marginals come from one gather of
+    logAlpha at every member's end edges and one log-sum-exp per distinct
+    end-edge count.  Infeasible members are dropped before the
     occupancies, where a -inf log P would give NaN; the occupancies of the
-    rest are grouped once over (member, state, label) keys.  Each member's
+    rest are grouped once over (member, state, label) keys, and each
+    member's gradient is exp(logits - lse) scaled in place.  Each member's
     result equals its own :func:`loss_and_grad` bit for bit: every cell
     goes through the same floating-point operations in the same order.
     """
@@ -300,13 +329,7 @@ def batch_loss_and_grad(
         return []
     stack, scores = _stacked(pairs)
     alpha = _forward(stack, scores)
-    outcomes: list[float | LossResult | InfeasibleLengthError] = []
-    for (lat, post), base in zip(pairs, stack.nodes):
-        try:
-            final_alpha = alpha[post.num_frames, base + lat.final.src]
-            outcomes.append(_terminal_log_marginal(lat, final_alpha, post.num_frames))
-        except InfeasibleLengthError as exc:
-            outcomes.append(exc)
+    outcomes: list = _log_marginals([lat for lat, _ in pairs], stack, alpha)
     feasible = [b for b, outcome in enumerate(outcomes) if isinstance(outcome, float)]
     if not feasible:
         return outcomes
@@ -341,7 +364,8 @@ def batch_loss_and_grad(
         lo, hi = bounds[j], bounds[j + 1]
         pair_state, pair_label = np.divmod(pair_keys[lo:hi] - key_base[j], post.vocab_size)
         frames = post.num_frames
-        grad = np.exp(post.logprobs)
+        grad = np.subtract(post.logits, post.lse)
+        np.exp(grad, out=grad)
         grad *= occ_state[:frames, states[j]:states[j + 1], None]
         grad[:, pair_state, pair_label] -= occ_pair[:frames, lo:hi]
         outcomes[b] = LossResult(loss=-outcomes[b], log_marginal=outcomes[b], grad=grad)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+from functools import cached_property
 from typing import BinaryIO
 
 import numpy as np
@@ -12,6 +13,9 @@ TENSOR_MAGIC = b"GTCT"
 TENSOR_VERSION = 1
 
 NEG_INF = float("-inf")
+
+# bytes of logits per block of frames in the constructor's normalizer pass
+_BLOCK_BYTES = 512 * 1024
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -23,17 +27,25 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     """
     peak = np.max(x, axis=-1, keepdims=True, initial=NEG_INF)
     peak[peak == NEG_INF] = 0.0  # exp(-inf - -inf) would be NaN
-    total = np.exp(x - peak).sum(axis=-1, keepdims=True)
+    shifted = np.subtract(x, peak)
+    total = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
     return peak + np.log(total, out=np.full_like(total, NEG_INF), where=total > 0.0)
 
 
 class PosteriorTensor:
     """Label scores indexed (frame t, decoder state i, label k).
 
-    ``logits`` holds the raw scores h[t, i, k]; ``logprobs`` is their
-    log-softmax over k, so every (t, i) row sums to one in probability
-    space.  Frames are 1-based in the math and 0-based in the arrays:
-    row ``logprobs[t - 1, i]`` scores frame t.
+    ``logits`` holds the raw scores h[t, i, k] and ``lse`` their log
+    normalizer logsumexp_k h[t, i, k], shape (T, S, 1).  Both are
+    read-only: ``lse`` is computed once, from ``logits``, so a write to
+    either would give a finite wrong loss.  The constructor does not copy
+    an input that is already C-contiguous float64, so ``logits`` is a view
+    of it and the caller must not write to it afterwards.  ``logprobs``,
+    the log-softmax ``logits - lse`` whose (t, i) rows each sum to one in
+    probability space, is built on first read and then kept; the loss reads
+    ``logits`` and ``lse`` only, so it never builds it.  Frames are 1-based
+    in the math and 0-based in the arrays: row ``logprobs[t - 1, i]``
+    scores frame t.
     """
 
     def __init__(self, logits):
@@ -42,10 +54,23 @@ class PosteriorTensor:
             raise ValueError(f"logits must have shape (T, states, vocab); got {logits.shape}")
         if min(logits.shape) < 1:
             raise ValueError(f"all logits dimensions must be positive; got {logits.shape}")
-        if not np.all(np.isfinite(logits)):
-            raise ValueError("logits must be finite")
-        self.logits = logits
-        self.logprobs = logits - _logsumexp(logits)
+        # a block of frames at a time, so the temporaries stay in cache; the
+        # finite check stays, as a -inf logit would not show in lse
+        step = max(1, _BLOCK_BYTES // logits[0].nbytes)
+        lse = np.empty(logits.shape[:2] + (1,))
+        for lo in range(0, len(logits), step):
+            block = logits[lo:lo + step]
+            if not np.all(np.isfinite(block)):
+                raise ValueError("logits must be finite")
+            lse[lo:lo + step] = _logsumexp(block)
+        self.logits = logits.view()
+        self.logits.flags.writeable = False
+        lse.flags.writeable = False
+        self.lse = lse
+
+    @cached_property
+    def logprobs(self) -> np.ndarray:
+        return self.logits - self.lse
 
     @property
     def num_frames(self) -> int:

@@ -33,7 +33,8 @@ from graphtransducer import (
     serialize,
     validate,
 )
-from graphtransducer.verify import FD_STEP, GRAD_TOL, ORACLE_TOL, random_case
+from graphtransducer.posteriors import _BLOCK_BYTES, _logsumexp
+from graphtransducer.verify import FD_STEP, GRAD_TOL, ORACLE_TOL, ROW_SUM_TOL, random_case
 
 NEG_INF = float("-inf")
 
@@ -434,3 +435,72 @@ def test_batch_equals_per_utterance_bit_for_bit(batch):
 
 def test_empty_batch_gives_no_results():
     assert batch_loss_and_grad([]) == []
+
+
+def fan_lattice(weights, vocab=4):
+    """start -> one of len(weights) emitting nodes, each with a self-loop and
+    an end edge of the given log weight; one end edge per node."""
+    n = len(weights)
+    nodes = [Node(0, "start")] + [Node(j, j % vocab) for j in range(1, n + 1)] + [Node(n + 1, "end")]
+    edges = [Edge(0, j, -0.1 * j, 0) for j in range(1, n + 1)]
+    edges += [Edge(j, j, -0.05 * j, 1) for j in range(1, n + 1)]
+    edges += [Edge(j, n + 1, w, None) for j, w in zip(range(1, n + 1), weights)]
+    return Lattice(tuple(nodes), tuple(edges), num_states=2, vocab_size=vocab)
+
+
+def test_grouped_terminal_logsumexp_matches_each_member():
+    # numpy's pairwise sum groups differently from 8 summands on, so the
+    # members sharing an end-edge count (one log-sum-exp per count) include
+    # counts 9 and 12; one member's end edges all have zero weight
+    rng = np.random.default_rng(30)
+    batch = []
+    for count, frames in [(1, 3), (2, 1), (9, 4), (12, 2), (9, 6), (2, 5), (1, 2), (12, 3)]:
+        batch.append((fan_lattice(rng.normal(0, 2, count)), rand_post(count + frames, frames, 2, 4)))
+    batch.append((fan_lattice([NEG_INF] * 9), rand_post(40, 3, 2, 4)))
+    outcomes = batch_loss_and_grad(batch)
+    for (lat, post), outcome in zip(batch, outcomes):
+        # the terminal sum as one 1-D log-sum-exp over this lattice's end edges
+        alpha = forward_vars(lat, post)
+        alone_logp = float(_logsumexp(alpha[-1, lat.final.src] + lat.final.log_weight)[0])
+        try:
+            alone = loss_and_grad(lat, post)
+        except InfeasibleLengthError as exc:
+            assert alone_logp == NEG_INF
+            assert isinstance(outcome, InfeasibleLengthError)
+            assert (outcome.frames, outcome.min_frames) == (exc.frames, exc.min_frames) == (3, 1)
+            with pytest.raises(InfeasibleLengthError) as info:
+                log_marginal(lat, post)
+            assert (info.value.frames, info.value.min_frames) == (exc.frames, exc.min_frames)
+            continue
+        assert outcome.log_marginal == alone.log_marginal == log_marginal(lat, post) == alone_logp
+        assert outcome.loss == alone.loss
+        assert np.array_equal(outcome.grad, alone.grad)
+    assert sum(isinstance(o, InfeasibleLengthError) for o in outcomes) == 1
+
+
+@pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
+def test_loss_never_builds_logprobs(kind):
+    # V = 100 over at least three of the constructor's blocks of frames
+    rng = np.random.default_rng(31)
+    vocab, labels = 100, tuple(int(k) for k in rng.integers(1, 100, 20))
+    states = len(labels) + 1
+    frames = 3 * (_BLOCK_BYTES // (states * vocab * 8)) + 5
+    if kind == CTC_LIKE:
+        logits = np.repeat(rng.normal(0, 1, (frames, 1, vocab)), states, axis=1)
+    else:
+        logits = rng.normal(0, 1, (frames, states, vocab))
+    lat = build_lattice(TopologySpec(kind, labels, vocab))
+    post = PosteriorTensor(logits)
+    result = loss_and_grad(lat, post)
+    batch_loss_and_grad([(lat, post), (lat, post)])
+    log_marginal(lat, post)
+    alpha, beta = forward_vars(lat, post), backward_vars(lat, post)
+    marginal(lat, post, alpha, beta, post.num_frames)
+    assert "logprobs" not in post.__dict__
+
+    if kind == CTC_LIKE:
+        want = reference_ctc(labels, post.logprobs[:, 0, :])
+    else:
+        want = reference_monornnt(labels, post.logprobs)
+    assert result.loss == pytest.approx(want, abs=ORACLE_TOL)
+    assert np.abs(result.grad.sum(axis=2)).max() < ROW_SUM_TOL

@@ -9,6 +9,7 @@ from graphtransducer import (
     read_tensor,
     write_tensor,
 )
+from graphtransducer.posteriors import _BLOCK_BYTES, _logsumexp
 
 
 def test_logprob_rows_are_normalized():
@@ -36,6 +37,57 @@ def test_rejects_nonfinite_logits():
     bad[0, 0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         PosteriorTensor(bad)
+
+
+# STEP frames of float64 logits fill one block of the constructor's normalizer pass
+STATES, VOCAB = 3, 50
+STEP = _BLOCK_BYTES // (STATES * VOCAB * 8)
+
+
+@pytest.mark.parametrize(
+    "frames, states, vocab",
+    [
+        (1, STATES, VOCAB),
+        (STEP, STATES, VOCAB),
+        (STEP + 1, STATES, VOCAB),
+        (3 * STEP + 2, STATES, VOCAB),
+        # one frame is larger than a block, so each block is one frame
+        (3, 2, _BLOCK_BYTES // 16 + 1),
+    ],
+)
+def test_blocked_normalizer_equals_dense_bit_for_bit(frames, states, vocab):
+    logits = np.random.default_rng(frames).normal(0, 4, (frames, states, vocab))
+    post = PosteriorTensor(logits)
+    dense = _logsumexp(logits)
+    assert post.lse.shape == (frames, states, 1)
+    assert np.array_equal(post.lse, dense)
+    assert np.array_equal(post.logprobs, logits - dense)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_logit_in_last_block_is_rejected(bad):
+    logits = np.zeros((3 * STEP + 2, STATES, VOCAB))
+    logits[-1, -1, -1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorTensor(logits)
+
+
+def test_logits_are_read_only_and_not_copied():
+    logits = np.random.default_rng(3).normal(0, 1, (4, 2, 3))
+    post = PosteriorTensor(logits)
+    assert np.shares_memory(post.logits, logits)
+    # lse was computed from these values, so a write would give a wrong loss
+    with pytest.raises(ValueError, match="read-only"):
+        post.logits[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        post.lse[0, 0, 0] = 1.0
+
+
+def test_logprobs_are_built_on_first_read_only():
+    post = PosteriorTensor(np.zeros((2, 2, 4)))
+    assert "logprobs" not in post.__dict__
+    assert post.logprobs is post.logprobs
+    assert np.all(post.logprobs == -np.log(4.0))
 
 
 @pytest.mark.parametrize("shape", [(4,), (3, 2), (2, 3, 4)])
