@@ -128,7 +128,8 @@ class CountsLm:
     prefix gets ``score`` bit for bit.  ``extension_row(context)`` holds
     the extension scores of every label after a context, each computed by
     ``extension_score``; rows are cached on first use, one per seen
-    context and one that every unseen context shares.
+    context and one that every unseen context shares.  The constructor
+    rejects a context id, label or count that is not an integer.
     """
 
     def __init__(self, counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab_size: int):
@@ -136,14 +137,18 @@ class CountsLm:
             raise ValueError(f"vocab_size must be an integer of at least 2; got {vocab_size!r}")
         vocab_size = int(vocab_size)
         for ctx, by_label in counts.items():
+            if not all(map(_is_int, ctx)):
+                raise ValueError(f"context {tuple(ctx)!r}: label ids must be integers")
             for label, count in by_label.items():
-                if not 1 <= label < vocab_size:
+                if not _is_int(label) or not 1 <= label < vocab_size:
                     raise ValueError(
-                        f"context {tuple(ctx)}: label {label} outside 1..{vocab_size - 1}"
+                        f"context {tuple(ctx)}: label {label!r} outside 1..{vocab_size - 1}, "
+                        "as an integer"
                     )
-                if count < 1:
+                if not _is_int(count) or count < 1:
                     raise ValueError(
-                        f"context {tuple(ctx)}, label {label}: count must be positive; got {count}"
+                        f"context {tuple(ctx)}, label {label}: count must be positive, "
+                        f"as an integer; got {count!r}"
                     )
         self._counts = {tuple(ctx): dict(by_label) for ctx, by_label in counts.items()}
         self._totals = {ctx: sum(v.values()) for ctx, v in self._counts.items()}

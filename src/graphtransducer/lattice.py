@@ -358,12 +358,29 @@ def validate(lat: Lattice) -> list[str]:
     share one decoder state), breadth-first id ordering (with the start
     node at id 0 and the end node last), reachability (start reaches every
     node, every node reaches end), and the end-edge rule (edges into end
-    carry no state, all other edges carry one).
+    carry no state, all other edges carry one).  The ``range`` rules come
+    first: ``num_states`` >= 0, ``vocab_size`` >= 1, every edge state below
+    ``num_states`` and every emitting label below ``vocab_size``.
 
     Violations are data, not failures: each entry is a human-readable
     string prefixed with the rule family it breaks.
     """
     out: list[str] = []
+    if lat.num_states < 0:
+        out.append(f"range: num_states must be >= 0, is {lat.num_states}")
+    if lat.vocab_size < 1:
+        out.append(f"range: vocab_size must be >= 1, is {lat.vocab_size}")
+    for e in lat.edges:
+        if e.state is not None and e.state >= lat.num_states:
+            out.append(
+                f"range: edge {e.src}->{e.dst} state {e.state} is not below num_states {lat.num_states}"
+            )
+    for node in lat.nodes:
+        if node.emitting and node.label >= lat.vocab_size:
+            out.append(
+                f"range: node {node.id} label {node.label} is not below vocab_size {lat.vocab_size}"
+            )
+
     n = len(lat.nodes)
     starts = [node.id for node in lat.nodes if node.label == START]
     ends = [node.id for node in lat.nodes if node.label == END]
@@ -465,7 +482,7 @@ def deserialize(text: str) -> Lattice:
     """Parse JSON lattice text; raises :class:`LatticeFormatError` with the
     offending location on malformed input.  Like :func:`serialize`, it
     accepts only well-formed lattices: after the schema and referential
-    checks (including edge states below ``states``), the first
+    checks, which include the ``range`` rules with located messages, the first
     :func:`validate` violation is raised as a format error, so every
     lattice it returns can be scored."""
     try:

@@ -63,19 +63,17 @@ class LossResult:
 
 
 def _scatter_logsumexp(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
-    """Grouped log-sum-exp: out[j] = logsumexp(values[index == j])."""
-    out = np.full(size, NEG_INF)
-    if values.size == 0:
-        return out
+    """Grouped log-sum-exp: out[j] = logsumexp(values[index == j]), in the
+    idiom of :func:`~graphtransducer.posteriors._logsumexp`.  Each group's
+    peak is shifted out first; an empty or all -inf group gives -inf
+    without a floating-point warning."""
     peak = np.full(size, NEG_INF)
     np.maximum.at(peak, index, values)
-    shifted = peak[index]
-    ok = shifted > NEG_INF  # exp(-inf - -inf) would be NaN
-    sums = np.zeros(size)
-    np.add.at(sums, index[ok], np.exp(values[ok] - shifted[ok]))
-    finite = peak > NEG_INF
-    out[finite] = peak[finite] + np.log(sums[finite])
-    return out
+    peak[peak == NEG_INF] = 0.0  # exp(-inf - -inf) would be NaN
+    shifted = np.subtract(values, peak[index])
+    total = np.zeros(size)
+    np.add.at(total, index, np.exp(shifted, out=shifted))
+    return peak + np.log(total, out=np.full_like(total, NEG_INF), where=total > 0.0)
 
 
 def _edge_scores(
@@ -317,12 +315,13 @@ def batch_loss_and_grad(
     T_b, so each member reads its log marginal from logAlpha row T_b and
     seeds logBeta at row T_b.  The log marginals come from one gather of
     logAlpha at every member's end edges and one log-sum-exp per distinct
-    end-edge count.  Infeasible members are dropped before the
-    occupancies, where a -inf log P would give NaN; the occupancies of the
-    rest are grouped once over (member, state, label) keys, and each
-    member's gradient is exp(logits - lse) scaled in place.  Each member's
-    result equals its own :func:`loss_and_grad` bit for bit: every cell
-    goes through the same floating-point operations in the same order.
+    end-edge count.  Every member goes through the occupancy pass; an
+    infeasible member's log P is taken as +inf there, so its occupancies
+    come out exactly 0, never NaN.  The occupancies are grouped once over
+    (member, state, label) keys, and each feasible member's gradient is
+    exp(logits - lse) scaled in place.  Each member's result equals its own
+    :func:`loss_and_grad` bit for bit: every cell goes through the same
+    floating-point operations in the same order.
     """
     pairs = list(pairs)
     if not pairs:
@@ -330,43 +329,40 @@ def batch_loss_and_grad(
     stack, scores = _stacked(pairs)
     alpha = _forward(stack, scores)
     outcomes: list = _log_marginals([lat for lat, _ in pairs], stack, alpha)
-    feasible = [b for b, outcome in enumerate(outcomes) if isinstance(outcome, float)]
-    if not feasible:
-        return outcomes
     beta = _backward(stack, scores)
 
     # the scores become occ[t - 1, e] in place; alpha - log P goes in before beta
-    keep = np.repeat([isinstance(outcome, float) for outcome in outcomes], np.diff(stack.edges))
-    occ = scores if keep.all() else scores[:, keep]
-    members = [pairs[b] for b in feasible]
-    logp = np.repeat([outcomes[b] for b in feasible], [lat.emit.src.size for lat, _ in members])
-    occ += alpha[:-1, stack.src[keep]] - logp
-    occ += beta[1:, stack.dst[keep]]
+    logp = [outcome if isinstance(outcome, float) else np.inf for outcome in outcomes]
+    occ = scores
+    occ += alpha[:-1, stack.src] - np.repeat(logp, np.diff(stack.edges))
+    occ += beta[1:, stack.dst]
     np.exp(occ, out=occ)
 
-    # member j's (state, label) pairs are keys key_base[j] + state * vocab + label
-    # and its states are columns states[j]:states[j + 1] of occ_state
-    key_base = np.cumsum([0] + [post.num_states * post.vocab_size for _, post in members])
-    states = np.cumsum([0] + [post.num_states for _, post in members])
+    # member b's (state, label) pairs are keys key_base[b] + state * vocab + label
+    # and its states are columns states[b]:states[b + 1] of occ_state
+    key_base = np.cumsum([0] + [post.num_states * post.vocab_size for _, post in pairs])
+    states = np.cumsum([0] + [post.num_states for _, post in pairs])
     keys = np.concatenate([
         base + lat.emit.state * post.vocab_size + lat.emit.label
-        for (lat, post), base in zip(members, key_base)
+        for (lat, post), base in zip(pairs, key_base)
     ])
     state_of_edge = np.concatenate([
-        first + lat.emit.state for (lat, _), first in zip(members, states)
+        first + lat.emit.state for (lat, _), first in zip(pairs, states)
     ])
     pair_keys, first_edge, pair_of_edge = np.unique(keys, return_index=True, return_inverse=True)
     occ_pair = _group_columns(occ, pair_of_edge, pair_keys.size)
     occ_state = _group_columns(occ_pair, state_of_edge[first_edge], states[-1])
 
     bounds = np.searchsorted(pair_keys, key_base)
-    for j, (b, (_, post)) in enumerate(zip(feasible, members)):
-        lo, hi = bounds[j], bounds[j + 1]
-        pair_state, pair_label = np.divmod(pair_keys[lo:hi] - key_base[j], post.vocab_size)
+    for b, (_, post) in enumerate(pairs):
+        if not isinstance(outcomes[b], float):
+            continue
+        lo, hi = bounds[b], bounds[b + 1]
+        pair_state, pair_label = np.divmod(pair_keys[lo:hi] - key_base[b], post.vocab_size)
         frames = post.num_frames
         grad = np.subtract(post.logits, post.lse)
         np.exp(grad, out=grad)
-        grad *= occ_state[:frames, states[j]:states[j + 1], None]
+        grad *= occ_state[:frames, states[b]:states[b + 1], None]
         grad[:, pair_state, pair_label] -= occ_pair[:frames, lo:hi]
         outcomes[b] = LossResult(loss=-outcomes[b], log_marginal=outcomes[b], grad=grad)
     return outcomes

@@ -1,8 +1,9 @@
 """Brute-force verification oracles.
 
 Everything here exists to cross-check the production implementations and
-deliberately shares no recursion or indexing with them: the marginal is
-recomputed by exhaustive path enumeration, gradients by central finite
+deliberately shares no recursion, indexing or normalizer with them: the
+marginal is recomputed by exhaustive path enumeration from the raw logits
+through the oracle's own :func:`log_softmax`, gradients by central finite
 differences through that enumeration, and the two reduction references
 (plain CTC and the monotonic two-index recursion) are written as direct
 indexed loops.  Hard size guards refuse exponential work instead of
@@ -98,13 +99,20 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(peak + np.log(np.exp(values - peak).sum()))
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, with the row peak shifted out; the
+    oracle's own normalizer, so a fault in the production one shows."""
+    peak = logits.max(axis=-1, keepdims=True)
+    return logits - (peak + np.log(np.exp(logits - peak).sum(axis=-1, keepdims=True)))
+
+
 def brute_force_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     """Log marginal as a plain sum over every enumerated alignment path."""
     paths = enumerate_paths(lat, post.num_frames)
     if not paths:
         raise InfeasibleLengthError(post.num_frames, lat.min_emissions)
     t_idx, s_idx, k_idx, base = _path_score_arrays(lat, paths)
-    scores = base + post.logprobs[t_idx, s_idx, k_idx].sum(axis=1)
+    scores = base + log_softmax(post.logits)[t_idx, s_idx, k_idx].sum(axis=1)
     return _logsumexp(scores)
 
 
@@ -119,9 +127,7 @@ def finite_diff_grad(lat: Lattice, post: PosteriorTensor, step: float = 1e-5) ->
     t_idx, s_idx, k_idx, base = _path_score_arrays(lat, paths)
 
     def loss_at(logits: np.ndarray) -> float:
-        peak = logits.max(axis=-1, keepdims=True)
-        lp = logits - (peak + np.log(np.exp(logits - peak).sum(axis=-1, keepdims=True)))
-        return -_logsumexp(base + lp[t_idx, s_idx, k_idx].sum(axis=1))
+        return -_logsumexp(base + log_softmax(logits)[t_idx, s_idx, k_idx].sum(axis=1))
 
     logits = post.logits.copy()
     grad = np.empty_like(logits)

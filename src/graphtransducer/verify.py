@@ -117,21 +117,7 @@ def check_ctc_reduction(
 ) -> CheckResult:
     """With one shared distribution across decoder states, the CTC-like
     loss must equal the plain CTC loss of that distribution."""
-    rng = np.random.default_rng(seed)
-    max_diff = 0.0
-    for _ in range(cases):
-        lat, post, labels = random_case(rng, CTC_LIKE, max_t, max_u, vocab)
-        shared = np.tile(post.logits[:, :1, :], (1, post.num_states, 1))
-        tied = PosteriorTensor(shared)
-        got = -loss.log_marginal(lat, tied)
-        want = oracle.reference_ctc(labels, tied.logprobs[:, 0, :])
-        max_diff = max(max_diff, abs(got - want))
-    ok = max_diff < ORACLE_TOL
-    text = (
-        f"ctc-reduction: {'PASS' if ok else 'FAIL'} cases={cases} "
-        f"max_abs_diff={max_diff:.3e} tol={ORACLE_TOL:.1e} seed={seed}"
-    )
-    return CheckResult("ctc-reduction", ok, text)
+    return _check_reduction("ctc-reduction", CTC_LIKE, seed, cases, max_t, max_u, vocab)
 
 
 def check_monornnt_reduction(
@@ -139,19 +125,32 @@ def check_monornnt_reduction(
 ) -> CheckResult:
     """The mono-rnnt lattice marginal must equal the direct two-index
     recursion on the same tensor."""
+    return _check_reduction("monornnt-reduction", MONO_RNNT, seed, cases, max_t, max_u, vocab)
+
+
+def _check_reduction(
+    name: str, kind: str, seed: int, cases: int, max_t: int, max_u: int, vocab: int
+) -> CheckResult:
+    """The production loss of random ``kind`` cases against that
+    topology's reference recursion, which reads the oracle's own
+    log-softmax of the logits; ctc-like cases first tie every decoder
+    state to state 0's distribution."""
     rng = np.random.default_rng(seed)
     max_diff = 0.0
     for _ in range(cases):
-        lat, post, labels = random_case(rng, MONO_RNNT, max_t, max_u, vocab)
-        got = -loss.log_marginal(lat, post)
-        want = oracle.reference_monornnt(labels, post.logprobs)
-        max_diff = max(max_diff, abs(got - want))
+        lat, post, labels = random_case(rng, kind, max_t, max_u, vocab)
+        if kind == CTC_LIKE:
+            post = PosteriorTensor(np.tile(post.logits[:, :1, :], (1, post.num_states, 1)))
+            want = oracle.reference_ctc(labels, oracle.log_softmax(post.logits[:, 0, :]))
+        else:
+            want = oracle.reference_monornnt(labels, oracle.log_softmax(post.logits))
+        max_diff = max(max_diff, abs(-loss.log_marginal(lat, post) - want))
     ok = max_diff < ORACLE_TOL
     text = (
-        f"monornnt-reduction: {'PASS' if ok else 'FAIL'} cases={cases} "
+        f"{name}: {'PASS' if ok else 'FAIL'} cases={cases} "
         f"max_abs_diff={max_diff:.3e} tol={ORACLE_TOL:.1e} seed={seed}"
     )
-    return CheckResult("monornnt-reduction", ok, text)
+    return CheckResult(name, ok, text)
 
 
 def check_gradients(

@@ -151,6 +151,20 @@ def test_counts_lm_constructor_rejects_bad_labels_and_counts(counts, match):
         CountsLm(counts, vocab_size=4)
 
 
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        ({(): {1.5: 3}}, "label 1.5 outside"),
+        ({(): {True: 3}}, "label True outside"),
+        ({(): {1: 2.5}}, "count must be positive, as an integer; got 2.5"),
+        ({(1.0,): {1: 3}}, "label ids must be integers"),
+    ],
+)
+def test_counts_lm_constructor_rejects_non_integers(counts, match):
+    with pytest.raises(ValueError, match=match):
+        CountsLm(counts, vocab_size=3)
+
+
 def test_counts_lm_score_is_the_running_sum_of_extension_scores():
     _, lm = fused_case(5)
     rng = np.random.default_rng(5)

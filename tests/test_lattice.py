@@ -306,6 +306,28 @@ def test_serialize_refuses_invalid_lattice():
         serialize(lat)
 
 
+@pytest.mark.parametrize(
+    "states, vocab, violation, where",
+    [
+        (1, 3, "range: edge 3->3 state 1 is not below num_states 1", "edges[3].state"),
+        (-1, 3, "range: num_states must be >= 0, is -1", "states"),
+        (2, 1, "range: node 2 label 1 is not below vocab_size 1", "nodes[2].label"),
+    ],
+)
+def test_serialize_refuses_what_deserialize_rejects(states, vocab, violation, where):
+    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 3))
+    bad = Lattice(lat.nodes, lat.edges, states, vocab)
+    assert validate(bad)[0] == violation
+    with pytest.raises(ValueError, match="invalid lattice: range:"):
+        serialize(bad)
+    # deserialize rejects the same document, located at the offending field
+    doc = json.loads(serialize(lat))
+    doc["states"], doc["vocab"] = states, vocab
+    with pytest.raises(LatticeFormatError) as info:
+        deserialize(json.dumps(doc))
+    assert info.value.where == where
+
+
 def test_deserialize_rejects_missing_end_node():
     doc = json.loads(serialize(build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))))
     doc["nodes"] = [n for n in doc["nodes"] if n["label"] != "end"]

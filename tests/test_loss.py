@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from graphtransducer import (
     serialize,
     validate,
 )
+from graphtransducer.loss import _scatter_logsumexp
+from graphtransducer.oracle import log_softmax
 from graphtransducer.posteriors import _BLOCK_BYTES, _logsumexp
 from graphtransducer.verify import FD_STEP, GRAD_TOL, ORACLE_TOL, ROW_SUM_TOL, random_case
 
@@ -243,7 +246,7 @@ def test_longer_sequences_against_mono_recursion():
     lat = build_lattice(TopologySpec(MONO_RNNT, labels, 5))
     post = PosteriorTensor(rng.normal(0, 1, (12, 5, 5)))
     assert -log_marginal(lat, post) == pytest.approx(
-        reference_monornnt(labels, post.logprobs), abs=1e-10
+        reference_monornnt(labels, log_softmax(post.logits)), abs=1e-10
     )
 
 
@@ -318,11 +321,6 @@ def test_emitting_edge_without_state_is_an_error():
     for entry in (log_marginal, loss_and_grad):
         with pytest.raises(ValueError, match="carries no decoder state"):
             entry(lat, post)
-
-
-def log_softmax(logits):
-    peak = logits.max(axis=-1, keepdims=True)
-    return logits - (peak + np.log(np.exp(logits - peak).sum(axis=-1, keepdims=True)))
 
 
 def occupancy_case(rng, kind):
@@ -476,6 +474,55 @@ def test_grouped_terminal_logsumexp_matches_each_member():
         assert outcome.loss == alone.loss
         assert np.array_equal(outcome.grad, alone.grad)
     assert sum(isinstance(o, InfeasibleLengthError) for o in outcomes) == 1
+
+
+def test_all_infeasible_batch_gives_each_members_error():
+    # too few frames on each topology, and end edges that all have zero weight
+    batch = [
+        (build_lattice(TopologySpec(CTC_LIKE, (1, 1), 3)), rand_post(50, 2, 3, 3)),
+        (build_lattice(TopologySpec(MONO_RNNT, (1, 2), 3)), rand_post(51, 1, 3, 3)),
+        (fan_lattice([NEG_INF] * 3), rand_post(52, 4, 2, 4)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = batch_loss_and_grad(batch)
+    for (lat, post), outcome in zip(batch, outcomes):
+        with pytest.raises(InfeasibleLengthError) as info:
+            loss_and_grad(lat, post)
+        assert isinstance(outcome, InfeasibleLengthError)
+        assert (outcome.frames, outcome.min_frames) == (info.value.frames, info.value.min_frames)
+    assert [(o.frames, o.min_frames) for o in outcomes] == [(2, 3), (1, 2), (4, 1)]
+
+
+def test_scatter_logsumexp_matches_the_dense_sum_of_each_group():
+    # per seed: three groups of each size 0-12 and six all -inf groups,
+    # their entries shuffled together; about one entry in five is -inf
+    sizes = list(range(13)) * 3 + [1, 2, 3, 5, 8, 12]
+    dead = set(range(39, len(sizes)))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        index = np.repeat(np.arange(len(sizes)), sizes)
+        rng.shuffle(index)
+        values = rng.normal(0, 3, index.size)
+        values[rng.random(index.size) < 0.2] = NEG_INF
+        values[np.isin(index, list(dead))] = NEG_INF
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _scatter_logsumexp(values, index, len(sizes))
+        for group, size in enumerate(sizes):
+            want = _logsumexp(values[index == group])[0]
+            if group in dead or size == 0:
+                assert out[group] == want == NEG_INF
+            elif size < 8:
+                # below 8 terms numpy's pairwise sum adds in order, as np.add.at does
+                assert out[group] == want
+            else:
+                # relative to the result, or to 1 where it is near 0
+                assert abs(out[group] - want) <= 1e-15 * max(1.0, abs(want))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = _scatter_logsumexp(np.empty(0), np.empty(0, dtype=np.int64), 3)
+    assert empty.tolist() == [NEG_INF] * 3
 
 
 @pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])

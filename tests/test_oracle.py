@@ -16,9 +16,12 @@ from graphtransducer import (
     finite_diff_grad,
     log_marginal,
     loss_and_grad,
+    posteriors,
     reference_ctc,
     reference_monornnt,
+    verify,
 )
+from graphtransducer.oracle import log_softmax
 from graphtransducer.verify import random_case
 
 
@@ -195,7 +198,8 @@ def test_ctc_reduction_on_tied_states():
         lat, post, labels = random_case(rng, CTC_LIKE, 5, 3, 4)
         tied = PosteriorTensor(np.tile(post.logits[:, :1, :], (1, post.num_states, 1)))
         got = -log_marginal(lat, tied)
-        assert got == pytest.approx(reference_ctc(labels, tied.logprobs[:, 0, :]), abs=1e-10)
+        want = reference_ctc(labels, log_softmax(tied.logits[:, 0, :]))
+        assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_monornnt_reduction():
@@ -203,4 +207,20 @@ def test_monornnt_reduction():
     for _ in range(10):
         lat, post, labels = random_case(rng, MONO_RNNT, 5, 3, 4)
         got = -log_marginal(lat, post)
-        assert got == pytest.approx(reference_monornnt(labels, post.logprobs), abs=1e-10)
+        want = reference_monornnt(labels, log_softmax(post.logits))
+        assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_oracle_checks_catch_a_wrong_production_normalizer(monkeypatch):
+    # a constant added to every log normalizer shifts each production log
+    # marginal by -0.25 T; an oracle that read post.logprobs would shift too
+    exact = posteriors._logsumexp
+    monkeypatch.setattr(posteriors, "_logsumexp", lambda x: exact(x) + 0.25)
+    match, _ = verify.check_marginal_oracle(seed=0, cases=20)
+    reductions = [
+        verify.check_ctc_reduction(seed=0, cases=10),
+        verify.check_monornnt_reduction(seed=0, cases=10),
+    ]
+    for result in (match, *reductions):
+        assert not result.passed
+        assert result.text.startswith(f"{result.name}: FAIL ")
