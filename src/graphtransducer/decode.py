@@ -13,7 +13,6 @@ log-add-exp here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .lattice import BLANK, CTC_LIKE, TOPOLOGIES, TopologySpec, _is_int, build_lattice
 from .loss import InfeasibleLengthError, log_marginal
-from .model import ToyModel, Utterance, forward_logits
+from .model import ToyModel, Utterance, _state_embedding_indices, forward_logits
 from .posteriors import PosteriorTensor
 
 NEG_INF = float("-inf")
@@ -84,7 +83,7 @@ class ModelPosteriors(TensorPosteriors):
         labels = tuple(labels)
         lat = build_lattice(TopologySpec(kind, labels, self.vocab_size))
         try:
-            return log_marginal(lat, PosteriorTensor(self.logits[:, (BLANK,) + labels]))
+            return log_marginal(lat, PosteriorTensor(self.logits[:, _state_embedding_indices(labels)]))
         except InfeasibleLengthError:
             return NEG_INF
 
@@ -217,7 +216,8 @@ class DecodeConfig:
     """Search settings.  ``theta1`` floors linear-domain posteriors for the
     local candidate set; ``theta2`` is a log-domain score width below the
     best surviving hypothesis; ``beam_size`` is the hypothesis cap P, an
-    integer; ``lm_weight`` and ``insertion_bonus`` must be finite."""
+    integer stored as an int; ``lm_weight`` and ``insertion_bonus`` must be
+    finite numbers, not bools."""
 
     beam_size: int = 10
     theta1: float = 0.0
@@ -226,8 +226,9 @@ class DecodeConfig:
     insertion_bonus: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.beam_size, bool) or not isinstance(self.beam_size, numbers.Integral):
+        if not _is_int(self.beam_size):
             raise ValueError(f"beam_size must be an integer; got {self.beam_size!r}")
+        object.__setattr__(self, "beam_size", int(self.beam_size))
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1; got {self.beam_size}")
         if not 0.0 <= self.theta1 < 1.0:
@@ -235,8 +236,11 @@ class DecodeConfig:
         if not self.theta2 > 0.0:
             raise ValueError(f"theta2 must be positive; got {self.theta2}")
         for name in ("lm_weight", "insertion_bonus"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite; got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not a bool; got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite; got {value}")
 
 
 def prune(

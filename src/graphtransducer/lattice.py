@@ -12,6 +12,11 @@ Two built-in topologies are provided for a label sequence ``y``:
   except between identical adjacent labels.
 * ``mono-rnnt`` -- every label is emitted exactly once, at most one label
   per frame, blanks optional everywhere.
+
+Both share one node layout for U labels: start is node 0, the blank after
+u labels is node 2u + 1, label u is node 2u, and end is node 2U + 2.  So
+the decoder state of a built-in edge, the number of labels consumed at its
+source, is ``src // 2``.
 """
 
 from __future__ import annotations
@@ -101,7 +106,9 @@ class Edge:
     which would turn the marginal into a finite wrong value or NaN; a
     ``state`` that is negative or not an integer is rejected for the same
     reason, and so are ``src`` and ``dst`` when not integers.  A numpy
-    integer in any of the three is stored as an int.
+    integer in any of the three is stored as an int.  ``log_weight`` is
+    stored as a float, so ``serialize`` can write it; a bool or anything
+    that is not a real number is rejected.
     """
 
     src: int
@@ -113,6 +120,14 @@ class Edge:
         if type(self.src) is not int or type(self.dst) is not int:
             _store_int(self, "src", f"edge {self.src}->{self.dst} source")
             _store_int(self, "dst", f"edge {self.src}->{self.dst} target")
+        if type(self.log_weight) is not float:
+            weight = self.log_weight
+            if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+                raise ValueError(f"edge {self.src}->{self.dst} log weight {weight!r} is not a real number")
+            try:
+                object.__setattr__(self, "log_weight", float(weight))
+            except OverflowError:
+                raise ValueError(f"edge {self.src}->{self.dst} log weight {weight!r} overflows") from None
         if math.isnan(self.log_weight) or self.log_weight == math.inf:
             raise ValueError(f"edge {self.src}->{self.dst} has invalid log weight {self.log_weight}")
         if type(self.state) is not int and self.state is not None:
@@ -282,14 +297,13 @@ def _bfs_layers(arcs, source: int) -> dict[int, int]:
 def build_ctc_like_graph(spec: TopologySpec) -> Lattice:
     """Build the topology that allows label repetition and optional blanks.
 
-    Emitting nodes are blank_0, y_1, blank_1, ..., y_U, blank_U.  Every
-    emitting node has a self-loop; the direct step y_u -> y_{u+1} exists
-    only when the two labels differ, so identical adjacent labels are
-    forced through the blank between them.
+    Every emitting node has a self-loop; the direct step y_u -> y_{u+1}
+    exists only when the two labels differ, so identical adjacent labels
+    are forced through the blank between them.
     """
     if spec.kind != CTC_LIKE:
         raise InvalidSpecError(f"expected kind {CTC_LIKE!r}, got {spec.kind!r}")
-    return _build_linear_lattice(spec, label_repeats=True)
+    return build_lattice(spec)
 
 
 def build_monornnt_graph(spec: TopologySpec) -> Lattice:
@@ -298,56 +312,42 @@ def build_monornnt_graph(spec: TopologySpec) -> Lattice:
     y_u -> y_{u+1} regardless of label equality."""
     if spec.kind != MONO_RNNT:
         raise InvalidSpecError(f"expected kind {MONO_RNNT!r}, got {spec.kind!r}")
-    return _build_linear_lattice(spec, label_repeats=False)
+    return build_lattice(spec)
 
 
 def build_lattice(spec: TopologySpec) -> Lattice:
-    if spec.kind == CTC_LIKE:
-        return build_ctc_like_graph(spec)
-    return build_monornnt_graph(spec)
+    """Build the lattice of ``spec.kind`` over ``spec.labels`` (y_1..y_U).
 
-
-def _build_linear_lattice(spec: TopologySpec, *, label_repeats: bool) -> Lattice:
-    # CTC's repeat rule: label nodes loop, so equal neighbours need a blank between
+    Node 0 is start, node 2u + 1 the blank after u labels, node 2u
+    (u >= 1) label y_u, and node 2U + 2 end.  The arcs come family by
+    family: start, blank loops, label loops (ctc-like), blank -> next
+    label, label -> blank, label -> next label (ctc-like only between
+    different labels).  An arc's decoder state is the number of labels
+    consumed at its source, ``src // 2``; the end edges from label U and
+    from blank U carry none.  This edge order fixes the order in which the
+    loss adds its grouped sums.
+    """
     y = spec.labels
-    big_u = len(y)
-    vocab = spec.resolved_vocab()
-
-    def blank_id(u: int) -> int:
-        return 2 * u + 1
-
-    def label_id(u: int) -> int:  # u >= 1
-        return 2 * u
-
-    end_id = 2 * big_u + 2
+    ctc = spec.kind == CTC_LIKE
+    end = 2 * len(y) + 2
     nodes = [Node(0, START), Node(1, BLANK)]
-    for u in range(1, big_u + 1):
-        nodes.append(Node(2 * u, y[u - 1]))
-        nodes.append(Node(2 * u + 1, BLANK))
-    nodes.append(Node(end_id, END))
+    for u, k in enumerate(y, 1):
+        nodes += (Node(2 * u, k), Node(2 * u + 1, BLANK))
+    nodes.append(Node(end, END))
 
-    # The decoder state on an edge is the number of labels consumed at its
-    # source node, so all outgoing edges of a node share one state.
-    edges: list[Edge] = [Edge(0, blank_id(0), 0.0, 0)]
-    if big_u:
-        edges.append(Edge(0, label_id(1), 0.0, 0))
-    for u in range(big_u + 1):
-        edges.append(Edge(blank_id(u), blank_id(u), 0.0, u))
-    if label_repeats:
-        for u in range(1, big_u + 1):
-            edges.append(Edge(label_id(u), label_id(u), 0.0, u))
-    for u in range(big_u):
-        edges.append(Edge(blank_id(u), label_id(u + 1), 0.0, u))
-    for u in range(1, big_u + 1):
-        edges.append(Edge(label_id(u), blank_id(u), 0.0, u))
-    for u in range(1, big_u):
-        if not label_repeats or y[u - 1] != y[u]:
-            edges.append(Edge(label_id(u), label_id(u + 1), 0.0, u))
-    if big_u:
-        edges.append(Edge(label_id(big_u), end_id, 0.0, None))
-    edges.append(Edge(blank_id(big_u), end_id, 0.0, None))
-
-    return Lattice(tuple(nodes), tuple(edges), num_states=big_u + 1, vocab_size=vocab)
+    label_ids = range(2, end, 2)
+    arcs = [(0, 1), (0, 2)] if y else [(0, 1)]
+    arcs += [(b, b) for b in range(1, end, 2)]
+    if ctc:
+        arcs += [(a, a) for a in label_ids]
+    arcs += [(a - 1, a) for a in label_ids]
+    arcs += [(a, a + 1) for a in label_ids]
+    arcs += [(a, a + 2) for a in label_ids[:-1] if not ctc or y[a // 2 - 1] != y[a // 2]]
+    edges = [Edge(src, dst, 0.0, src // 2) for src, dst in arcs]
+    if y:
+        edges.append(Edge(end - 2, end, 0.0, None))
+    edges.append(Edge(end - 1, end, 0.0, None))
+    return Lattice(tuple(nodes), tuple(edges), num_states=len(y) + 1, vocab_size=spec.resolved_vocab())
 
 
 def validate(lat: Lattice) -> list[str]:
@@ -357,10 +357,12 @@ def validate(lat: Lattice) -> list[str]:
     same label), state consistency (all outgoing emitting edges of a node
     share one decoder state), breadth-first id ordering (with the start
     node at id 0 and the end node last), reachability (start reaches every
-    node, every node reaches end), and the end-edge rule (edges into end
-    carry no state, all other edges carry one).  The ``range`` rules come
-    first: ``num_states`` >= 0, ``vocab_size`` >= 1, every edge state below
-    ``num_states`` and every emitting label below ``vocab_size``.
+    node, every node reaches end), the end-edge rule (edges into end
+    carry no state, all other edges carry one) and the endpoint rule (no
+    edge enters start or leaves end, since no alignment can use one).  The
+    ``range`` rules come first: ``num_states`` >= 0, ``vocab_size`` >= 1,
+    every edge state below ``num_states`` and every emitting label below
+    ``vocab_size``.
 
     Violations are data, not failures: each entry is a human-readable
     string prefixed with the rule family it breaks.
@@ -437,6 +439,12 @@ def validate(lat: Lattice) -> list[str]:
                 out.append(f"end-edge: edge {e.src}->{e.dst} into the end node must not carry a state")
         elif e.state is None:
             out.append(f"end-edge: emitting edge {e.src}->{e.dst} carries no decoder state")
+    start_set = set(starts)
+    for e in lat.edges:
+        if e.dst in start_set:
+            out.append(f"endpoint: edge {e.src}->{e.dst} enters the start node")
+        if e.src in end_set:
+            out.append(f"endpoint: edge {e.src}->{e.dst} leaves the end node")
 
     if len(starts) == 1:
         for node in lat.nodes:

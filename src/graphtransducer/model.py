@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import TopologySpec, build_lattice
+from .lattice import TopologySpec, _is_int, build_lattice
 from .loss import InfeasibleLengthError, batch_loss_and_grad, log_marginal
 # unused here; kept as a module attribute because the train-toy benchmark's
 # traced run (benchmarks/workloads.py) wraps ``model.loss_and_grad``
@@ -43,14 +43,17 @@ class ToyModel:
     """
 
     def __init__(self, feat_dim: int, hidden: int, vocab_size: int, lr: float = 0.1, seed: int = 0):
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be at least 2 (blank plus one label)")
+        # vocab_size counts the blank plus at least one label
+        for name, value, low in (("feat_dim", feat_dim, 1), ("hidden", hidden, 1),
+                                 ("vocab_size", vocab_size, 2)):
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}; got {value!r}")
         if not np.isfinite(lr):
             raise ValueError(f"lr must be finite; got {lr}")
         rng = np.random.default_rng(seed)
-        self.feat_dim = feat_dim
-        self.hidden = hidden
-        self.vocab_size = vocab_size
+        self.feat_dim = int(feat_dim)
+        self.hidden = int(hidden)
+        self.vocab_size = int(vocab_size)
         self.lr = float(lr)
         self.enc_w = rng.normal(0.0, 1.0 / np.sqrt(feat_dim), (hidden, feat_dim))
         self.embed = rng.normal(0.0, 0.1, (vocab_size, hidden))

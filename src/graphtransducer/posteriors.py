@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from functools import cached_property
@@ -16,6 +17,8 @@ NEG_INF = float("-inf")
 
 # bytes of logits per block of frames in the constructor's normalizer pass
 _BLOCK_BYTES = 512 * 1024
+# largest single read of a tensor file's payload
+_READ_CHUNK_BYTES = 1 << 20
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -118,10 +121,15 @@ def read_tensor(file: BinaryIO | str | os.PathLike) -> np.ndarray:
         return _read_tensor(fh)
 
 
-def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise ValueError(f"truncated tensor file while reading {what}")
+def _read_exact(fh: BinaryIO, count: int, what: str) -> bytearray:
+    # read in bounded chunks: a corrupt header may claim far more bytes
+    # than the file holds, and must not make one read of that size
+    data = bytearray()
+    while len(data) < count:
+        chunk = fh.read(min(count - len(data), _READ_CHUNK_BYTES))
+        if not chunk:
+            raise ValueError(f"truncated tensor file while reading {what}")
+        data += chunk
     return data
 
 
@@ -136,7 +144,7 @@ def _read_tensor(fh: BinaryIO) -> np.ndarray:
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
     if min(dims) < 1:
         raise ValueError(f"tensor dims must be positive; got {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     payload = _read_exact(fh, 8 * count, "values")
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -287,4 +288,16 @@ def test_malformed_checkpoint_header_is_a_data_error(tmp_path, capsys, edit, com
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert "error:" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_checkpoint_block_claiming_a_huge_tensor_is_a_data_error(tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    save_model(ckpt, ToyModel(6, 8, 6))
+    line = ckpt.read_bytes().split(b"\n", 1)[0]
+    block = struct.pack("<4s5I", b"GTCT", 1, 3, 2**20, 2**20, 2**10) + b"\x00" * 64
+    ckpt.write_bytes(line + b"\n" + block)
+    code, out, err = run(capsys, "decode", "--ckpt", str(ckpt), "--utts", "2")
+    assert code == 3
+    assert "truncated tensor file" in err and "Traceback" not in err
     assert out == ""

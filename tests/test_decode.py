@@ -89,6 +89,8 @@ def test_prune_breaks_ties_lexicographically():
         dict(insertion_bonus=math.inf),
         dict(insertion_bonus=-math.inf),
         dict(insertion_bonus=math.nan),
+        dict(lm_weight=True),
+        dict(insertion_bonus=False),
     ],
 )
 def test_config_invariants(kwargs):
@@ -97,7 +99,9 @@ def test_config_invariants(kwargs):
 
 
 def test_config_accepts_numpy_integer_beam_size():
-    assert DecodeConfig(beam_size=np.int64(4)).beam_size == 4
+    # stored as an int, as TopologySpec stores its labels
+    beam_size = DecodeConfig(beam_size=np.int64(4)).beam_size
+    assert beam_size == 4 and type(beam_size) is int
 
 
 def test_uniform_lm_scores_zero():

@@ -86,6 +86,35 @@ def test_state_is_labels_consumed_at_source():
     assert by_src == {0: {0}, 1: {0}, 2: {1}, 3: {1}, 4: {2}, 5: {2}}
 
 
+# The edge order fixes the order in which the loss's grouped log-sum-exps
+# add, so reordering the builder's arcs changes trained values in the last
+# bits (test_training_trajectory_is_pinned); the sets alone are checked above.
+@pytest.mark.parametrize("kind, labels, order", [
+    (CTC_LIKE, (1, 1, 2), [
+        (0, 1, 0), (0, 2, 0),                        # start
+        (1, 1, 0), (3, 3, 1), (5, 5, 2), (7, 7, 3),  # blank loops
+        (2, 2, 1), (4, 4, 2), (6, 6, 3),             # label loops
+        (1, 2, 0), (3, 4, 1), (5, 6, 2),             # blank -> next label
+        (2, 3, 1), (4, 5, 2), (6, 7, 3),             # label -> blank
+        (4, 6, 2),                                   # label -> different next label
+        (6, 8, None), (7, 8, None),                  # end
+    ]),
+    (MONO_RNNT, (1, 1, 2), [
+        (0, 1, 0), (0, 2, 0),
+        (1, 1, 0), (3, 3, 1), (5, 5, 2), (7, 7, 3),
+        (1, 2, 0), (3, 4, 1), (5, 6, 2),
+        (2, 3, 1), (4, 5, 2), (6, 7, 3),
+        (2, 4, 1), (4, 6, 2),
+        (6, 8, None), (7, 8, None),
+    ]),
+    (CTC_LIKE, (), [(0, 1, 0), (1, 1, 0), (1, 2, None)]),
+    (MONO_RNNT, (), [(0, 1, 0), (1, 1, 0), (1, 2, None)]),
+])
+def test_builtin_edge_order_is_pinned(kind, labels, order):
+    lat = build_lattice(TopologySpec(kind, labels, 3))
+    assert [(e.src, e.dst, e.state) for e in lat.edges] == order
+
+
 @pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
 def test_builders_reject_blank_in_labels(kind):
     with pytest.raises(InvalidSpecError):
@@ -252,6 +281,32 @@ def test_validate_reports_misplaced_endpoints():
     assert any("end node must have the largest id" in v for v in problems)
 
 
+# no alignment can use an edge into start or out of end: the loss and the
+# oracle both drop it, while the path sum would count it
+@pytest.mark.parametrize("nodes, edges, violation", [
+    ([Node(0, "start"), Node(1, 1), Node(2, "end")],
+     [Edge(0, 1, 0.0, 0), Edge(1, 0, 0.0, 0), Edge(1, 2, 0.0, None)],
+     "endpoint: edge 1->0 enters the start node"),
+    ([Node(0, "start"), Node(1, BLANK), Node(2, "end")],
+     [Edge(0, 1, 0.0, 0), Edge(1, 2, 0.0, None), Edge(2, 1, 0.0, 0)],
+     "endpoint: edge 2->1 leaves the end node"),
+], ids=["into-start", "out-of-end"])
+def test_validate_reports_edges_at_the_wrong_endpoint(nodes, edges, violation):
+    lat = tiny(nodes, edges)
+    assert validate(lat) == [violation]
+    assert enumerate_paths(lat, 2) == []
+    with pytest.raises(ValueError, match="invalid lattice: endpoint:"):
+        serialize(lat)
+    doc = {
+        "vocab": 2, "states": 1,
+        "nodes": [{"id": n.id, "label": n.label} for n in nodes],
+        "edges": [{"from": e.src, "to": e.dst, "logw": 0.0, "state": e.state} for e in edges],
+    }
+    with pytest.raises(LatticeFormatError, match="endpoint:") as info:
+        deserialize(json.dumps(doc))
+    assert info.value.where == "lattice"
+
+
 def test_validate_reports_every_violation_in_rule_order():
     lat = tiny(
         [Node(0, 1), Node(1, "start"), Node(2, 2), Node(3, "end"), Node(4, 1), Node(5, 0)],
@@ -361,6 +416,25 @@ def test_deserialize_rejects_bad_label():
 @pytest.mark.parametrize("weight", [math.inf, math.nan])
 def test_edge_rejects_nan_and_positive_infinite_weight(weight):
     with pytest.raises(ValueError, match="invalid log weight"):
+        Edge(0, 1, weight, 0)
+
+
+@pytest.mark.parametrize("weight", [np.float32(-0.5), np.int64(-1), -2, np.float64(-0.25)],
+                         ids=["float32", "int64", "int", "float64"])
+def test_edge_stores_a_real_log_weight_as_a_float(weight):
+    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))
+    edges = (Edge(0, 1, weight, 0),) + lat.edges[1:]
+    built = Lattice(lat.nodes, edges, lat.num_states, lat.vocab_size)
+    assert type(built.edges[0].log_weight) is float
+    assert built.edges[0].log_weight == float(weight)
+    assert deserialize(serialize(built)) == built
+
+
+@pytest.mark.parametrize("weight", [True, "0.5", None, 1j, -10**400],
+                         ids=["bool", "str", "none", "complex", "huge-int"])
+def test_edge_rejects_a_log_weight_that_is_not_a_real_number(weight):
+    # True would serialize as `true`, which deserialize rejects
+    with pytest.raises(ValueError, match="log weight"):
         Edge(0, 1, weight, 0)
 
 

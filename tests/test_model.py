@@ -114,6 +114,25 @@ def test_zero_learning_rate_keeps_parameters_bitwise():
         assert np.array_equal(value, before[name])
 
 
+# ToyModel(6, 0, 6) used to construct, and save_model then failed after
+# writing the header line; ToyModel(2.5, 4, 3) raised a TypeError from numpy
+@pytest.mark.parametrize("dims, name", [
+    ((6, 0, 6), "hidden"), ((0, 8, 6), "feat_dim"), ((2.5, 4, 3), "feat_dim"),
+    ((True, 8, 6), "feat_dim"), ((6, True, 6), "hidden"), ((6, 8.0, 6), "hidden"),
+    ((6, 8, 6.0), "vocab_size"), ((6, 8, "6"), "vocab_size"), ((6, 8, 1), "vocab_size"),
+])
+def test_non_integer_or_small_dims_are_rejected(dims, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ToyModel(*dims)
+
+
+def test_numpy_integer_dims_are_stored_as_ints(tmp_path):
+    m = ToyModel(np.int64(6), np.int32(8), np.int64(6))
+    assert all(type(v) is int for v in (m.feat_dim, m.hidden, m.vocab_size))
+    save_model(tmp_path / "m.ckpt", m)
+    assert load_model(tmp_path / "m.ckpt")[0].hidden == 8
+
+
 @pytest.mark.parametrize("lr", [math.nan, math.inf])
 def test_non_finite_learning_rate_is_rejected(lr):
     with pytest.raises(ValueError, match="lr must be finite"):

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from graphtransducer import (
     read_tensor,
     write_tensor,
 )
-from graphtransducer.posteriors import _BLOCK_BYTES, _logsumexp
+from graphtransducer.posteriors import _BLOCK_BYTES, _READ_CHUNK_BYTES, _logsumexp
 
 
 def test_logprob_rows_are_normalized():
@@ -123,6 +124,27 @@ def test_read_rejects_truncated_payload():
     data = buf.getvalue()[:-8]
     with pytest.raises(ValueError, match="truncated"):
         read_tensor(io.BytesIO(data))
+
+
+# A corrupt header must not make one read of the size it claims, which
+# raised MemoryError, and a count past int64 must not wrap to 0.
+@pytest.mark.parametrize("dims", [(2**20, 2**20, 2**10), (2**31, 2**31, 4)], ids=["2^50", "2^64"])
+@pytest.mark.parametrize("source", ["path", "stream"])
+def test_read_rejects_a_header_claiming_more_values_than_the_file_holds(tmp_path, dims, source):
+    raw = struct.pack("<4s5I", b"GTCT", 1, 3, *dims) + b"\x00" * 64
+    path = tmp_path / "t.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="truncated tensor file while reading values"):
+        read_tensor(path if source == "path" else io.BytesIO(raw))
+
+
+def test_payload_longer_than_one_read_round_trips_and_truncates():
+    arr = np.arange(_READ_CHUNK_BYTES // 8 * 2 + 3, dtype=float)
+    buf = io.BytesIO()
+    write_tensor(buf, arr)
+    assert np.array_equal(read_tensor(io.BytesIO(buf.getvalue())), arr)
+    with pytest.raises(ValueError, match="truncated"):
+        read_tensor(io.BytesIO(buf.getvalue()[:-8]))
 
 
 def test_load_posterior_tensor_checks_rank(tmp_path):
