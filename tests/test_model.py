@@ -114,8 +114,8 @@ def test_zero_learning_rate_keeps_parameters_bitwise():
         assert np.array_equal(value, before[name])
 
 
-# ToyModel(6, 0, 6) used to construct, and save_model then failed after
-# writing the header line; ToyModel(2.5, 4, 3) raised a TypeError from numpy
+# a zero dim would let save_model fail after writing the header line, and
+# a float one would raise a TypeError from numpy; both are ValueErrors here
 @pytest.mark.parametrize("dims, name", [
     ((6, 0, 6), "hidden"), ((0, 8, 6), "feat_dim"), ((2.5, 4, 3), "feat_dim"),
     ((True, 8, 6), "feat_dim"), ((6, True, 6), "hidden"), ((6, 8.0, 6), "hidden"),

@@ -126,8 +126,8 @@ def test_read_rejects_truncated_payload():
         read_tensor(io.BytesIO(data))
 
 
-# A corrupt header must not make one read of the size it claims, which
-# raised MemoryError, and a count past int64 must not wrap to 0.
+# A corrupt header must not make one read of the size it claims, whose
+# MemoryError no caller handles, and a count past int64 must not wrap to 0.
 @pytest.mark.parametrize("dims", [(2**20, 2**20, 2**10), (2**31, 2**31, 4)], ids=["2^50", "2^64"])
 @pytest.mark.parametrize("source", ["path", "stream"])
 def test_read_rejects_a_header_claiming_more_values_than_the_file_holds(tmp_path, dims, source):
