@@ -39,6 +39,8 @@ CTC_LIKE = "ctc-like"
 MONO_RNNT = "mono-rnnt"
 TOPOLOGIES = (CTC_LIKE, MONO_RNNT)
 
+_MAX_INT64 = np.iinfo(np.int64).max
+
 
 class InvalidSpecError(ValueError):
     """A topology spec that cannot produce a lattice."""
@@ -141,7 +143,8 @@ class TopologySpec:
     """Which topology to build and for which (blank-free) label sequence.
 
     ``vocab_size`` counts all labels including blank; when omitted it is
-    inferred as ``max(labels) + 1``.
+    inferred as ``max(labels) + 1``.  Labels and ``vocab_size`` are stored
+    as ints; a label must fit the int64 arrays the lattice holds.
     """
 
     kind: str
@@ -149,7 +152,10 @@ class TopologySpec:
     vocab_size: int | None = None
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        try:
+            labels = tuple(self.labels)
+        except TypeError:
+            raise InvalidSpecError(f"labels must be a sequence of label ids; got {self.labels!r}") from None
         if not all(map(_is_int, labels)):
             raise InvalidSpecError(f"label ids must be integers; got {labels!r}")
         object.__setattr__(self, "labels", tuple(map(int, labels)))
@@ -162,11 +168,14 @@ class TopologySpec:
                 raise InvalidSpecError("blank (label 0) is not allowed in a label sequence")
             if k < 0:
                 raise InvalidSpecError(f"negative label id {k}")
+            if k > _MAX_INT64:
+                raise InvalidSpecError(f"label id {k} does not fit a 64-bit integer")
         if self.vocab_size is not None:
             if not _is_int(self.vocab_size) or self.vocab_size < 1:
                 raise InvalidSpecError(
                     f"vocab_size must be at least 1 (the blank label), as an integer; got {self.vocab_size!r}"
                 )
+            object.__setattr__(self, "vocab_size", int(self.vocab_size))
             if self.labels and max(self.labels) >= self.vocab_size:
                 raise InvalidSpecError(
                     f"label {max(self.labels)} out of range for vocab_size {self.vocab_size}"
@@ -174,7 +183,7 @@ class TopologySpec:
 
     def resolved_vocab(self) -> int:
         if self.vocab_size is not None:
-            return int(self.vocab_size)
+            return self.vocab_size
         return max(self.labels) + 1 if self.labels else 1
 
 
@@ -195,9 +204,26 @@ class EndArrays(NamedTuple):
     log_weight: np.ndarray
 
 
+def _read_only(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Immutable lattice; safe to share across threads and reuse per utterance.
+
+    The loss reads only ``num_nodes``, ``start_id``, ``end_id`` and two sets
+    of read-only edge arrays: ``emit``, the edges into emitting nodes, and
+    ``final``, the edges into the end node.  ``nodes`` and ``edges`` hold
+    the same graph as :class:`Node` and :class:`Edge` objects; ``==``,
+    ``hash`` and ``repr`` use them.  :func:`build_lattice` writes the arrays,
+    and a built lattice derives its objects on first read, the emitting
+    edges in array order and then the end edges.  A lattice constructed
+    from objects derives its arrays on first read instead, so an emitting
+    edge without a decoder state constructs and raises ``ValueError`` when
+    ``emit`` is read.
 
     Node ids equal their position in ``nodes`` (enforced at construction),
     so the id range is contiguous by construction.  Semantic rules such as
@@ -218,12 +244,47 @@ class Lattice:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         for i, n in enumerate(self.nodes):
+            if not isinstance(n, Node):
+                raise ValueError(f"nodes[{i}] is {n!r}, not a Node")
             if n.id != i:
                 raise ValueError(f"node ids must equal their list position: node {n.id} at index {i}")
         n = len(self.nodes)
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
+            if not isinstance(e, Edge):
+                raise ValueError(f"edges[{i}] is {e!r}, not an Edge")
             if not (0 <= e.src < n) or not (0 <= e.dst < n):
                 raise ValueError(f"edge {e.src}->{e.dst} references an unknown node id")
+
+    @classmethod
+    def _from_arrays(cls, num_nodes: int, emit: EmitArrays, final: EndArrays,
+                     num_states: int, vocab_size: int) -> Lattice:
+        """A lattice that holds ``emit`` and ``final``, with start node 0
+        and end node ``num_nodes - 1``.  Every other node must be the
+        target of an emitting edge, which gives its label."""
+        lat = object.__new__(cls)
+        lat.__dict__.update(
+            num_states=num_states, vocab_size=vocab_size, num_nodes=num_nodes,
+            start_id=0, end_id=num_nodes - 1, emit=_read_only(emit), final=_read_only(final),
+        )
+        return lat
+
+    def __getattr__(self, name: str):
+        # reached only for the nodes and edges of a lattice made by
+        # _from_arrays, on their first read
+        if name not in ("nodes", "edges") or "emit" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        em, fin = self.emit, self.final
+        labels = dict(zip(em.dst.tolist(), em.label.tolist()))
+        labels[self.start_id], labels[self.end_id] = START, END
+        object.__setattr__(self, "nodes", tuple(Node(g, labels[g]) for g in range(self.num_nodes)))
+        object.__setattr__(self, "edges", tuple(
+            map(Edge, em.src.tolist(), em.dst.tolist(), em.log_weight.tolist(), em.state.tolist())
+        ) + tuple(Edge(g, self.end_id, w, None) for g, w in zip(fin.src.tolist(), fin.log_weight.tolist())))
+        return self.__dict__[name]
+
+    @cached_property
+    def num_nodes(self) -> int:
+        return len(self.nodes)
 
     @cached_property
     def start_id(self) -> int:
@@ -253,19 +314,19 @@ class Lattice:
             state.append(e.state)
             label.append(target.label)
             logw.append(e.log_weight)
-        return EmitArrays(
+        return _read_only(EmitArrays(
             np.asarray(src, dtype=np.int64),
             np.asarray(dst, dtype=np.int64),
             np.asarray(state, dtype=np.int64),
             np.asarray(label, dtype=np.int64),
             np.asarray(logw, dtype=np.float64),
-        )
+        ))
 
     @cached_property
     def final(self) -> EndArrays:
         src = [e.src for e in self.edges if e.dst == self.end_id]
         logw = [e.log_weight for e in self.edges if e.dst == self.end_id]
-        return EndArrays(np.asarray(src, dtype=np.int64), np.asarray(logw, dtype=np.float64))
+        return _read_only(EndArrays(np.asarray(src, dtype=np.int64), np.asarray(logw, dtype=np.float64)))
 
     @cached_property
     def min_emissions(self) -> int:
@@ -326,28 +387,31 @@ def build_lattice(spec: TopologySpec) -> Lattice:
     consumed at its source, ``src // 2``; the end edges from label U and
     from blank U carry none.  This edge order fixes the order in which the
     loss adds its grouped sums.
-    """
-    y = spec.labels
-    ctc = spec.kind == CTC_LIKE
-    end = 2 * len(y) + 2
-    nodes = [Node(0, START), Node(1, BLANK)]
-    for u, k in enumerate(y, 1):
-        nodes += (Node(2 * u, k), Node(2 * u + 1, BLANK))
-    nodes.append(Node(end, END))
 
-    label_ids = range(2, end, 2)
-    arcs = [(0, 1), (0, 2)] if y else [(0, 1)]
-    arcs += [(b, b) for b in range(1, end, 2)]
-    if ctc:
-        arcs += [(a, a) for a in label_ids]
-    arcs += [(a - 1, a) for a in label_ids]
-    arcs += [(a, a + 1) for a in label_ids]
-    arcs += [(a, a + 2) for a in label_ids[:-1] if not ctc or y[a // 2 - 1] != y[a // 2]]
-    edges = [Edge(src, dst, 0.0, src // 2) for src, dst in arcs]
-    if y:
-        edges.append(Edge(end - 2, end, 0.0, None))
-    edges.append(Edge(end - 1, end, 0.0, None))
-    return Lattice(tuple(nodes), tuple(edges), num_states=len(y) + 1, vocab_size=spec.resolved_vocab())
+    The families are written straight into the lattice's ``emit`` and
+    ``final`` arrays as numpy ranges; the ``nodes`` and ``edges`` objects
+    are made only if something reads them, so scoring a built lattice
+    makes none.
+    """
+    y = np.array(spec.labels, dtype=np.int64)
+    end = 2 * y.size + 2
+    label_ids = np.arange(2, end, 2)
+    blank_ids = np.arange(1, end, 2)
+    firsts = np.arange(1, 3 if y.size else 2)
+    loops = label_ids if spec.kind == CTC_LIKE else label_ids[:0]
+    skips = label_ids[:-1][y[:-1] != y[1:]] if spec.kind == CTC_LIKE else label_ids[:-1]
+    src = np.concatenate([np.zeros_like(firsts), blank_ids, loops, label_ids - 1, label_ids, skips])
+    dst = np.concatenate([firsts, blank_ids, loops, label_ids, label_ids + 1, skips + 2])
+    node_label = np.zeros(end + 1, dtype=np.int64)
+    node_label[label_ids] = y
+    finals = np.arange(end - 2 if y.size else end - 1, end)
+    return Lattice._from_arrays(
+        end + 1,
+        EmitArrays(src, dst, src // 2, node_label[dst], np.zeros(src.size)),
+        EndArrays(finals, np.zeros(finals.size)),
+        num_states=y.size + 1,
+        vocab_size=spec.resolved_vocab(),
+    )
 
 
 def validate(lat: Lattice) -> list[str]:
@@ -547,12 +611,16 @@ def deserialize(text: str) -> Lattice:
         logw = item.get("logw")
         _require(isinstance(logw, (int, float)) and not isinstance(logw, bool),
                  "logw must be a number", f"{where}.logw")
+        try:
+            logw = float(logw)
+        except OverflowError:
+            raise LatticeFormatError("logw is an integer too large for a float", where=f"{where}.logw") from None
         _require(not (math.isnan(logw) or logw == math.inf),
                  "logw must not be NaN or +Infinity", f"{where}.logw")
         state = item.get("state")
         _require(state is None or (_is_int(state) and 0 <= state < states),
                  f"state must be null or an integer in 0..{states - 1}", f"{where}.state")
-        edges.append(Edge(item["from"], item["to"], float(logw), state))
+        edges.append(Edge(item["from"], item["to"], logw, state))
 
     nodes = tuple(by_id[i] for i in range(len(by_id)))
     lat = Lattice(nodes, tuple(edges), num_states=states, vocab_size=vocab)

@@ -149,7 +149,7 @@ def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]) -> tuple[_Stack, np.n
     (max T_b, total E) array that holds -inf past each member's own T_b."""
     lats = [lat for lat, _ in pairs]
     frames = [post.num_frames for _, post in pairs]
-    nodes = np.cumsum([0] + [len(lat.nodes) for lat in lats])
+    nodes = np.cumsum([0] + [lat.num_nodes for lat in lats])
     edges = np.cumsum([0] + [lat.emit.src.size for lat in lats])
     stack = _Stack(
         frames,

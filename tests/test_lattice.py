@@ -1,11 +1,13 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphtransducer.lattice
 from graphtransducer import (
     BLANK,
     CTC_LIKE,
@@ -21,9 +23,11 @@ from graphtransducer import (
     build_ctc_like_graph,
     build_lattice,
     build_monornnt_graph,
+    batch_loss_and_grad,
     deserialize,
     enumerate_paths,
     log_marginal,
+    loss_and_grad,
     serialize,
     to_dot,
     validate,
@@ -115,6 +119,97 @@ def test_builtin_edge_order_is_pinned(kind, labels, order):
     assert [(e.src, e.dst, e.state) for e in lat.edges] == order
 
 
+def reference_build(spec):
+    """The object-based builder that ``build_lattice`` replaced: Node and
+    Edge objects, family by family, with the end edges last."""
+    y = spec.labels
+    ctc = spec.kind == CTC_LIKE
+    end = 2 * len(y) + 2
+    nodes = [Node(0, "start"), Node(1, BLANK)]
+    for u, k in enumerate(y, 1):
+        nodes += (Node(2 * u, k), Node(2 * u + 1, BLANK))
+    nodes.append(Node(end, "end"))
+
+    label_ids = range(2, end, 2)
+    arcs = [(0, 1), (0, 2)] if y else [(0, 1)]
+    arcs += [(b, b) for b in range(1, end, 2)]
+    if ctc:
+        arcs += [(a, a) for a in label_ids]
+    arcs += [(a - 1, a) for a in label_ids]
+    arcs += [(a, a + 1) for a in label_ids]
+    arcs += [(a, a + 2) for a in label_ids[:-1] if not ctc or y[a // 2 - 1] != y[a // 2]]
+    edges = [Edge(src, dst, 0.0, src // 2) for src, dst in arcs]
+    if y:
+        edges.append(Edge(end - 2, end, 0.0, None))
+    edges.append(Edge(end - 1, end, 0.0, None))
+    return Lattice(tuple(nodes), tuple(edges), num_states=len(y) + 1, vocab_size=spec.resolved_vocab())
+
+
+def test_array_builder_matches_object_builder():
+    rng = random.Random(13)
+    for _ in range(3000):
+        vocab = rng.randint(2, 5)
+        labels = tuple(rng.randint(1, vocab - 1) for _ in range(rng.randint(0, 9)))
+        spec = TopologySpec(rng.choice([CTC_LIKE, MONO_RNNT]), labels, vocab)
+        built, want = build_lattice(spec), reference_build(spec)
+        # the arrays first, while the built lattice holds nothing else
+        for got, ref in zip(built.emit + built.final, want.emit + want.final):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert built.num_nodes == want.num_nodes
+        assert (built.start_id, built.end_id) == (want.start_id, want.end_id)
+        assert built == want and hash(built) == hash(want) and repr(built) == repr(want)
+        assert serialize(built) == serialize(want)
+        assert to_dot(built) == to_dot(want)
+
+
+def _no_objects(*args, **kwargs):
+    raise AssertionError("a Node or Edge object was made")
+
+
+@pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
+def test_scoring_a_built_lattice_makes_no_node_or_edge(kind, monkeypatch):
+    monkeypatch.setattr(graphtransducer.lattice, "Node", _no_objects)
+    monkeypatch.setattr(graphtransducer.lattice, "Edge", _no_objects)
+    rng = np.random.default_rng(4)
+    pairs = [
+        (build_lattice(TopologySpec(kind, labels, 4)), PosteriorTensor(rng.normal(size=(6, len(labels) + 1, 4))))
+        for labels in ((), (1,), (2, 2), (1, 3, 1))
+    ]
+    for lat, post in pairs:
+        assert lat.min_emissions <= 6
+        assert math.isfinite(log_marginal(lat, post))
+        assert math.isfinite(loss_and_grad(lat, post).loss)
+    assert all(math.isfinite(result.loss) for result in batch_loss_and_grad(pairs))
+    # an infeasible member reports the shortest path from the arrays too
+    short = build_lattice(TopologySpec(kind, (1, 1, 2), 4))
+    with pytest.raises(InfeasibleLengthError):
+        log_marginal(short, PosteriorTensor(rng.normal(size=(1, 4, 4))))
+    # the guard does see a derivation of the objects
+    with pytest.raises(AssertionError, match="Node or Edge"):
+        short.edges
+
+
+def test_built_lattice_derives_its_objects_once():
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3))
+    assert lat.nodes is lat.nodes and lat.edges is lat.edges
+    with pytest.raises(AttributeError, match="no attribute 'labels'"):
+        lat.labels
+
+
+@pytest.mark.parametrize("path", ["built", "objects"])
+def test_lattice_arrays_are_read_only(path):
+    # a write would make the loss and serialize disagree
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3))
+    if path == "objects":
+        lat = Lattice(lat.nodes, lat.edges, lat.num_states, lat.vocab_size)
+    for array in lat.emit + lat.final:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        lat.emit.label[0] = 3
+    with pytest.raises(ValueError, match="read-only"):
+        lat.final.log_weight[0] = -1.0
+
+
 @pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
 def test_builders_reject_blank_in_labels(kind):
     with pytest.raises(InvalidSpecError):
@@ -144,6 +239,23 @@ def test_spec_rejects_non_integer_labels(labels):
 def test_spec_rejects_non_integer_vocab(vocab):
     with pytest.raises(InvalidSpecError, match="vocab_size must be at least 1"):
         TopologySpec(CTC_LIKE, (1,), vocab)
+
+
+def test_spec_stores_numpy_vocab_as_int():
+    spec = TopologySpec(CTC_LIKE, (1,), np.int64(3))
+    assert spec.vocab_size == 3 and type(spec.vocab_size) is int
+    assert spec == TopologySpec(CTC_LIKE, (1,), 3)
+
+
+@pytest.mark.parametrize("labels", [None, 5, 1.5])
+def test_spec_rejects_labels_that_are_not_a_sequence(labels):
+    with pytest.raises(InvalidSpecError, match="labels must be a sequence"):
+        TopologySpec(CTC_LIKE, labels)
+
+
+def test_spec_rejects_label_beyond_int64():
+    with pytest.raises(InvalidSpecError, match="does not fit a 64-bit integer"):
+        TopologySpec(CTC_LIKE, (2**63,))
 
 
 @settings(max_examples=60, derandomize=True)
@@ -342,6 +454,14 @@ def test_lattice_constructor_enforces_referential_integrity():
         tiny([Node(0, "start"), Node(2, "end")], [])
 
 
+def test_lattice_constructor_rejects_entries_of_the_wrong_type():
+    with pytest.raises(ValueError, match=r"nodes\[0\] is \(0, 'start'\), not a Node"):
+        Lattice(((0, "start"),), (), 1, 2)
+    lat = build_lattice(TopologySpec(CTC_LIKE, (), 2))
+    with pytest.raises(ValueError, match=r"edges\[1\] is \(0, 1\), not an Edge"):
+        Lattice(lat.nodes, (lat.edges[0], (0, 1)), 1, 2)
+
+
 # --- serialization ----------------------------------------------------------
 
 
@@ -537,6 +657,14 @@ def test_deserialize_rejects_nan_and_positive_infinite_weight(weight, token):
     with pytest.raises(LatticeFormatError) as info:
         deserialize(text)
     assert info.value.where == "edges[2].logw"
+
+
+def test_deserialize_rejects_an_integer_weight_too_large_for_a_float():
+    text = serialize(build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2)))
+    text = text.replace('"logw": 0.0', f'"logw": {-10**400}', 1)
+    with pytest.raises(LatticeFormatError, match="too large for a float") as info:
+        deserialize(text)
+    assert info.value.where == "edges[0].logw"
 
 
 @pytest.mark.parametrize(
