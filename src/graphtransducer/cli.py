@@ -71,6 +71,14 @@ def _add_case_flags(p: argparse.ArgumentParser, max_t: int, max_u: int, vocab: i
     p.add_argument("--vocab", type=_count(2), default=vocab, help="label vocabulary size incl. blank")
 
 
+def _add_task_flags(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    p.add_argument("--topology", choices=TOPOLOGIES, default=CTC_LIKE)
+    p.add_argument("--utts", type=_count(), default=20, help="synthetic utterance count")
+    p.add_argument("--vocab", type=_count(2), default=6, help="label vocabulary size incl. blank")
+    p.add_argument("--max-len", type=_count(), default=5, help="longest label sequence")
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="graphtransducer", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -87,11 +95,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_case_flags(p, max_t=5, max_u=3, vocab=4, cases=200)
 
     p = sub.add_parser("train-toy", help="train the toy model on a synthetic task")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--topology", choices=TOPOLOGIES, default=CTC_LIKE)
-    p.add_argument("--utts", type=_count(), default=20, help="synthetic utterance count")
-    p.add_argument("--vocab", type=_count(2), default=6)
-    p.add_argument("--max-len", type=_count(), default=5, help="longest label sequence")
+    _add_task_flags(p)
     p.add_argument("--steps", type=_count(), default=500)
     p.add_argument("--lr", type=_number(), default=0.3)
     p.add_argument("--hidden", type=_count(), default=32)
@@ -100,11 +104,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="decode the synthetic task with a trained checkpoint")
     p.add_argument("--ckpt", required=True, help="toy-model checkpoint")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--topology", choices=TOPOLOGIES, default=CTC_LIKE)
-    p.add_argument("--utts", type=_count(), default=20)
-    p.add_argument("--vocab", type=_count(2), default=6)
-    p.add_argument("--max-len", type=_count(), default=5)
+    _add_task_flags(p)
     p.add_argument("--search", choices=(GREEDY, PREFIX_BEAM), default=GREEDY)
     p.add_argument("--beam", type=int, default=10, help="beam size P")
     p.add_argument("--theta1", type=float, default=0.0, help="linear-domain posterior floor")

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .lattice import BLANK, CTC_LIKE, TOPOLOGIES, TopologySpec, _is_int, build_lattice
+from .lattice import BLANK, CTC_LIKE, TOPOLOGIES, TopologySpec, _is_int, _is_real, build_lattice
 from .loss import InfeasibleLengthError, log_marginal
 from .model import ToyModel, Utterance, _state_embedding_indices, forward_logits
 from .posteriors import PosteriorTensor
@@ -216,8 +216,9 @@ class DecodeConfig:
     """Search settings.  ``theta1`` floors linear-domain posteriors for the
     local candidate set; ``theta2`` is a log-domain score width below the
     best surviving hypothesis; ``beam_size`` is the hypothesis cap P, an
-    integer stored as an int; ``lm_weight`` and ``insertion_bonus`` must be
-    finite numbers, not bools."""
+    integer stored as an int.  The other four are real numbers, not bools,
+    stored as floats; ``lm_weight`` and ``insertion_bonus`` must be
+    finite."""
 
     beam_size: int = 10
     theta1: float = 0.0
@@ -231,16 +232,18 @@ class DecodeConfig:
         object.__setattr__(self, "beam_size", int(self.beam_size))
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1; got {self.beam_size}")
+        for name in ("theta1", "theta2", "lm_weight", "insertion_bonus"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, not a bool; got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 <= self.theta1 < 1.0:
             raise ValueError(f"theta1 must lie in [0, 1); got {self.theta1}")
         if not self.theta2 > 0.0:
             raise ValueError(f"theta2 must be positive; got {self.theta2}")
         for name in ("lm_weight", "insertion_bonus"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, not a bool; got {value}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite; got {value}")
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite; got {getattr(self, name)}")
 
 
 def prune(
@@ -306,9 +309,10 @@ def beam_search(
     ``key(h + (k,)) = key(h) * V + k``, which is unique because labels run
     1..V-1; its tuple is built only when it reaches pruning.  Each frame
     reads its posterior row once per decoder state, the state that
-    ``provider.state(length, last)`` picks for a prefix.  Each probability
-    slot receives at most two contributions and log-add-exp is commutative
-    bit for bit, so the order in which prefixes expand changes no result.
+    ``provider.state(length, last)`` picks for a prefix.  The survivors
+    expand longest first, so a survivor has continued in place before its
+    parent adds the mass that lengthens it, and no parent has reached a
+    survivor when that survivor expands.
     """
     if lm is None:
         lm = UniformLm()
@@ -329,8 +333,7 @@ def beam_search(
     # pruning a lengthened prefix holds its parent's prefix and its own
     # last label; otherwise the label is None.
     prev = {0: [0.0, NEG_INF, 0.0, 0.0, 0, (), None]}
-    beam = {0: ()}  # surviving prefixes by key, best first
-    ranked = {(): 0.0}  # mass 1, LM log probability 0, no bonus
+    beam = {0: ()}  # surviving prefixes by key, longest first
     for frame in provider.logprobs:
         rows = _FrameRows(frame, log_theta1)
         cur: dict[int, list] = {}
@@ -341,14 +344,9 @@ def beam_search(
             lp, labels = rows[state]
 
             # blank keeps the prefix, and the final label continues its
-            # non-blank mass in place
-            rec = cur.get(key)
-            if rec is None:
-                own = lp[last] + p_nb if n else NEG_INF
-                cur[key] = [lp[BLANK] + total, own, lm_score, None, n, prefix, None]
-            else:
-                rec[0] = lp[BLANK] + total
-                rec[1] = _log_add(rec[1], lp[last] + p_nb)
+            # non-blank mass in place; no parent has reached it yet
+            own = lp[last] + p_nb if n else NEG_INF
+            cur[key] = [lp[BLANK] + total, own, lm_score, None, n, prefix, None]
 
             base, lm_row = key * vocab, None
             for k in labels:
@@ -363,8 +361,6 @@ def beam_search(
                 rec = cur.get(child)
                 if rec is not None:  # a survivor, already continued in place
                     rec[1] = _log_add(rec[1], gain)
-                elif child in beam:  # a survivor, continued in place later
-                    cur[child] = [NEG_INF, gain, earlier[2], None, n + 1, beam[child], None]
                 else:
                     # scored last frame but pruned away: revive its mass
                     lp_child = rows[state_of(n + 1, k)][0]
@@ -393,11 +389,10 @@ def beam_search(
                 keys[rec[5]] = key
         kept = prune(ranked, ranked, max_hyps, cfg.theta2)
         assert kept, "pruning emptied the beam despite the forced blank"
-        beam = {keys[prefix]: prefix for prefix in kept}
+        beam = {keys[prefix]: prefix for prefix in sorted(kept, key=len, reverse=True)}
         prev = cur
 
-    best = next(iter(beam.values()))
-    return best, ranked[best]
+    return kept[0], ranked[kept[0]]
 
 
 def greedy_search(provider: TensorPosteriors, kind: str) -> tuple[int, ...]:

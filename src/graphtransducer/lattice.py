@@ -59,10 +59,14 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    # a bool counts as a real number in Python, and a numpy float does too
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _store_int(obj, field: str, what: str) -> None:
     """Store the field of a frozen dataclass as an int when it holds a numpy
-    integer; raise ValueError when it holds a bool or a non-integer.  Callers
-    test ``type(value) is int`` first, which keeps the common case cheap."""
+    integer; raise ValueError when it holds a bool or a non-integer."""
     value = getattr(obj, field)
     if not _is_int(value):
         raise ValueError(f"{what} {value!r} is not an integer")
@@ -85,10 +89,9 @@ class Node:
     label: int | str
 
     def __post_init__(self):
-        if type(self.id) is not int:
-            _store_int(self, "id", "node id")
+        _store_int(self, "id", "node id")
         label = self.label
-        if type(label) is not int and not (isinstance(label, str) and label in (START, END)):
+        if not (isinstance(label, str) and label in (START, END)):
             if not _is_int(label):
                 raise ValueError(f'node {self.id} label {label!r} is not an integer, "start" or "end"')
             object.__setattr__(self, "label", int(label))
@@ -119,23 +122,21 @@ class Edge:
     state: int | None = None
 
     def __post_init__(self):
-        if type(self.src) is not int or type(self.dst) is not int:
-            _store_int(self, "src", f"edge {self.src}->{self.dst} source")
-            _store_int(self, "dst", f"edge {self.src}->{self.dst} target")
-        if type(self.log_weight) is not float:
-            weight = self.log_weight
-            if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
-                raise ValueError(f"edge {self.src}->{self.dst} log weight {weight!r} is not a real number")
-            try:
-                object.__setattr__(self, "log_weight", float(weight))
-            except OverflowError:
-                raise ValueError(f"edge {self.src}->{self.dst} log weight {weight!r} overflows") from None
+        _store_int(self, "src", f"edge {self.src}->{self.dst} source")
+        _store_int(self, "dst", f"edge {self.src}->{self.dst} target")
+        weight = self.log_weight
+        if not _is_real(weight):
+            raise ValueError(f"edge {self.src}->{self.dst} log weight {weight!r} is not a real number")
+        try:
+            object.__setattr__(self, "log_weight", float(weight))
+        except OverflowError:
+            raise ValueError(f"edge {self.src}->{self.dst} log weight {weight!r} overflows") from None
         if math.isnan(self.log_weight) or self.log_weight == math.inf:
             raise ValueError(f"edge {self.src}->{self.dst} has invalid log weight {self.log_weight}")
-        if type(self.state) is not int and self.state is not None:
+        if self.state is not None:
             _store_int(self, "state", f"edge {self.src}->{self.dst} decoder state")
-        if self.state is not None and self.state < 0:
-            raise ValueError(f"edge {self.src}->{self.dst} has negative decoder state {self.state}")
+            if self.state < 0:
+                raise ValueError(f"edge {self.src}->{self.dst} has negative decoder state {self.state}")
 
 
 @dataclass(frozen=True)
@@ -238,9 +239,8 @@ class Lattice:
     vocab_size: int
 
     def __post_init__(self):
-        if type(self.num_states) is not int or type(self.vocab_size) is not int:
-            _store_int(self, "num_states", "lattice num_states")
-            _store_int(self, "vocab_size", "lattice vocab_size")
+        _store_int(self, "num_states", "lattice num_states")
+        _store_int(self, "vocab_size", "lattice vocab_size")
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         for i, n in enumerate(self.nodes):
@@ -328,14 +328,18 @@ class Lattice:
         logw = [e.log_weight for e in self.edges if e.dst == self.end_id]
         return _read_only(EndArrays(np.asarray(src, dtype=np.int64), np.asarray(logw, dtype=np.float64)))
 
-    @cached_property
+    @property
     def min_emissions(self) -> int:
         """Fewest emitting steps on any start-to-end path."""
-        dist = _bfs_layers(zip(self.emit.src.tolist(), self.emit.dst.tolist()), self.start_id)
-        finishers = [dist[int(s)] for s in self.final.src if int(s) in dist]
-        if not finishers:
+        if self._fewest_emissions is None:
             raise ValueError("end node is unreachable from start")
-        return min(finishers)
+        return self._fewest_emissions
+
+    @cached_property
+    def _fewest_emissions(self) -> int | None:
+        """:attr:`min_emissions`, or None when the end node is unreachable."""
+        dist = _bfs_layers(zip(self.emit.src.tolist(), self.emit.dst.tolist()), self.start_id)
+        return min((dist[s] for s in self.final.src.tolist() if s in dist), default=None)
 
 
 def _bfs_layers(arcs, source: int) -> dict[int, int]:
@@ -609,8 +613,7 @@ def deserialize(text: str) -> Lattice:
             _require(_is_int(item.get(key)), f"{key} must be an integer", f"{where}.{key}")
             _require(item[key] in by_id, f"unknown node id {item[key]}", f"{where}.{key}")
         logw = item.get("logw")
-        _require(isinstance(logw, (int, float)) and not isinstance(logw, bool),
-                 "logw must be a number", f"{where}.logw")
+        _require(_is_real(logw), "logw must be a number", f"{where}.logw")
         try:
             logw = float(logw)
         except OverflowError:

@@ -38,15 +38,16 @@ NEG_INF = float("-inf")
 
 
 class InfeasibleLengthError(ValueError):
-    """No alignment of exactly the requested frame count has nonzero probability."""
+    """No alignment of exactly the requested frame count has nonzero
+    probability.  ``min_frames`` is the fewest frames of any start-to-end
+    path, or None when no path reaches the end node."""
 
-    def __init__(self, frames: int, min_frames: int):
+    def __init__(self, frames: int, min_frames: int | None):
         self.frames = frames
         self.min_frames = min_frames
-        super().__init__(
-            f"no alignment of exactly {frames} frames has nonzero probability; "
-            f"the shortest start-to-end path needs {min_frames}"
-        )
+        reason = ("no path from start reaches the end node" if min_frames is None
+                  else f"the shortest start-to-end path needs {min_frames}")
+        super().__init__(f"no alignment of exactly {frames} frames has nonzero probability; {reason}")
 
 
 @dataclass
@@ -266,7 +267,7 @@ def _log_marginals(
         members = [b for b, c in enumerate(counts) if c == count]
         logp[members] = _logsumexp(ends[first[members][:, None] + np.arange(count)])[:, 0]
     return [
-        InfeasibleLengthError(frames, lat.min_emissions) if value == NEG_INF else float(value)
+        InfeasibleLengthError(frames, lat._fewest_emissions) if value == NEG_INF else float(value)
         for lat, frames, value in zip(lats, stack.frames, logp)
     ]
 
@@ -318,7 +319,8 @@ def batch_loss_and_grad(
     end-edge count.  Every member goes through the occupancy pass; an
     infeasible member's log P is taken as +inf there, so its occupancies
     come out exactly 0, never NaN.  The occupancies are grouped once over
-    (member, state, label) keys, and each feasible member's gradient is
+    (state column, label) keys, where a member's states take consecutive
+    columns of the batch, and each feasible member's gradient is
     exp(logits - lse) scaled in place.  Each member's result equals its own
     :func:`loss_and_grad` bit for bit: every cell goes through the same
     floating-point operations in the same order.
@@ -338,31 +340,27 @@ def batch_loss_and_grad(
     occ += beta[1:, stack.dst]
     np.exp(occ, out=occ)
 
-    # member b's (state, label) pairs are keys key_base[b] + state * vocab + label
-    # and its states are columns states[b]:states[b + 1] of occ_state
-    key_base = np.cumsum([0] + [post.num_states * post.vocab_size for _, post in pairs])
+    # member b's states are columns states[b]:states[b + 1] of occ_state, and
+    # each edge's (state, label) pair is keyed column * vocab + label
     states = np.cumsum([0] + [post.num_states for _, post in pairs])
+    vocab = max(post.vocab_size for _, post in pairs)
     keys = np.concatenate([
-        base + lat.emit.state * post.vocab_size + lat.emit.label
-        for (lat, post), base in zip(pairs, key_base)
+        (first + lat.emit.state) * vocab + lat.emit.label for (lat, _), first in zip(pairs, states)
     ])
-    state_of_edge = np.concatenate([
-        first + lat.emit.state for (lat, _), first in zip(pairs, states)
-    ])
-    pair_keys, first_edge, pair_of_edge = np.unique(keys, return_index=True, return_inverse=True)
+    pair_keys, pair_of_edge = np.unique(keys, return_inverse=True)
+    pair_column, pair_label = np.divmod(pair_keys, vocab)
     occ_pair = _group_columns(occ, pair_of_edge, pair_keys.size)
-    occ_state = _group_columns(occ_pair, state_of_edge[first_edge], states[-1])
+    occ_state = _group_columns(occ_pair, pair_column, states[-1])
 
-    bounds = np.searchsorted(pair_keys, key_base)
+    bounds = np.searchsorted(pair_column, states)
     for b, (_, post) in enumerate(pairs):
         if not isinstance(outcomes[b], float):
             continue
         lo, hi = bounds[b], bounds[b + 1]
-        pair_state, pair_label = np.divmod(pair_keys[lo:hi] - key_base[b], post.vocab_size)
         frames = post.num_frames
         grad = np.subtract(post.logits, post.lse)
         np.exp(grad, out=grad)
         grad *= occ_state[:frames, states[b]:states[b + 1], None]
-        grad[:, pair_state, pair_label] -= occ_pair[:frames, lo:hi]
+        grad[:, pair_column[lo:hi] - states[b], pair_label[lo:hi]] -= occ_pair[:frames, lo:hi]
         outcomes[b] = LossResult(loss=-outcomes[b], log_marginal=outcomes[b], grad=grad)
     return outcomes

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import TopologySpec, _is_int, build_lattice
+from .lattice import TopologySpec, _is_int, _is_real, build_lattice
 from .loss import InfeasibleLengthError, batch_loss_and_grad, log_marginal
 # unused here; kept as a module attribute because the train-toy benchmark's
 # traced run (benchmarks/workloads.py) wraps ``model.loss_and_grad``
@@ -48,8 +48,8 @@ class ToyModel:
                                  ("vocab_size", vocab_size, 2)):
             if not _is_int(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}; got {value!r}")
-        if not np.isfinite(lr):
-            raise ValueError(f"lr must be finite; got {lr}")
+        if not (_is_real(lr) and np.isfinite(lr)):
+            raise ValueError(f"lr must be finite, as a real number that is not a bool; got {lr!r}")
         rng = np.random.default_rng(seed)
         self.feat_dim = int(feat_dim)
         self.hidden = int(hidden)
@@ -158,6 +158,7 @@ def make_synthetic_task(seed: int, count: int, vocab: int, max_len: int) -> list
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     rng = np.random.default_rng(seed)
+    eye = np.eye(vocab)
     data = []
     for _ in range(count):
         n_labels = int(rng.integers(1, max_len + 1))
@@ -167,10 +168,10 @@ def make_synthetic_task(seed: int, count: int, vocab: int, max_len: int) -> list
             labels.append(choices[int(rng.integers(0, len(choices)))])
         rows = []
         for k in labels:
-            rows.append(np.eye(vocab)[0])
+            rows.append(eye[0])
             for _ in range(int(rng.integers(1, 4))):
-                rows.append(np.eye(vocab)[k])
-        rows.append(np.eye(vocab)[0])
+                rows.append(eye[k])
+        rows.append(eye[0])
         feats = np.stack(rows) + rng.normal(0.0, 0.1, (len(rows), vocab))
         data.append(Utterance(feats, tuple(labels)))
     return data

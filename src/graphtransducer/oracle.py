@@ -110,7 +110,7 @@ def brute_force_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     """Log marginal as a plain sum over every enumerated alignment path."""
     paths = enumerate_paths(lat, post.num_frames)
     if not paths:
-        raise InfeasibleLengthError(post.num_frames, lat.min_emissions)
+        raise InfeasibleLengthError(post.num_frames, lat._fewest_emissions)
     t_idx, s_idx, k_idx, base = _path_score_arrays(lat, paths)
     scores = base + log_softmax(post.logits)[t_idx, s_idx, k_idx].sum(axis=1)
     return _logsumexp(scores)
@@ -123,7 +123,7 @@ def finite_diff_grad(lat: Lattice, post: PosteriorTensor, step: float = 1e-5) ->
         raise ValueError(f"finite-difference step must be positive; got {step}")
     paths = enumerate_paths(lat, post.num_frames)
     if not paths:
-        raise InfeasibleLengthError(post.num_frames, lat.min_emissions)
+        raise InfeasibleLengthError(post.num_frames, lat._fewest_emissions)
     t_idx, s_idx, k_idx, base = _path_score_arrays(lat, paths)
 
     def loss_at(logits: np.ndarray) -> float:

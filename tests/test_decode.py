@@ -91,11 +91,21 @@ def test_prune_breaks_ties_lexicographically():
         dict(insertion_bonus=math.nan),
         dict(lm_weight=True),
         dict(insertion_bonus=False),
+        dict(theta2=True),
+        dict(theta1=False),
+        dict(theta1="0.1"),
+        dict(lm_weight="1"),
     ],
 )
 def test_config_invariants(kwargs):
     with pytest.raises(ValueError):
         DecodeConfig(**kwargs)
+
+
+def test_config_stores_real_numbers_as_floats():
+    cfg = DecodeConfig(theta1=np.float32(0.5), theta2=3, lm_weight=np.int64(1), insertion_bonus=2)
+    values = (cfg.theta1, cfg.theta2, cfg.lm_weight, cfg.insertion_bonus)
+    assert values == (0.5, 3.0, 1.0, 2.0) and {type(v) for v in values} == {float}
 
 
 def test_config_accepts_numpy_integer_beam_size():

@@ -551,3 +551,21 @@ def test_loss_never_builds_logprobs(kind):
         want = reference_monornnt(labels, post.logprobs)
     assert result.loss == pytest.approx(want, abs=ORACLE_TOL)
     assert np.abs(result.grad.sum(axis=2)).max() < ROW_SUM_TOL
+
+
+def test_unreachable_end_node_is_an_infeasible_member():
+    # node 1 has no edge into the end node, so no alignment of any length exists
+    cut = Lattice((Node(0, "start"), Node(1, 0), Node(2, "end")), (Edge(0, 1, 0.0, 0),), 1, 2)
+    cut_post = PosteriorTensor(np.zeros((2, 1, 2)))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1,), 2))
+    post = rand_post(60, 3, 2, 2)
+    for call in (log_marginal, loss_and_grad):
+        with pytest.raises(InfeasibleLengthError) as info:
+            call(cut, cut_post)
+        assert (info.value.frames, info.value.min_frames) == (2, None)
+        assert "no path from start reaches the end node" in str(info.value)
+    infeasible, outcome = batch_loss_and_grad([(cut, cut_post), (lat, post)])
+    assert isinstance(infeasible, InfeasibleLengthError) and infeasible.min_frames is None
+    alone = loss_and_grad(lat, post)
+    assert outcome.loss == alone.loss and outcome.log_marginal == alone.log_marginal
+    assert np.array_equal(outcome.grad, alone.grad)

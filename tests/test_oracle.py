@@ -4,7 +4,10 @@ import pytest
 from graphtransducer import (
     CTC_LIKE,
     MONO_RNNT,
+    Edge,
     InfeasibleLengthError,
+    Lattice,
+    Node,
     PosteriorTensor,
     SizeLimitError,
     TopologySpec,
@@ -178,6 +181,15 @@ def test_reference_ctc_single_alignment():
 def test_reference_ctc_empty_labels_is_all_blank():
     lp = PosteriorTensor(np.random.default_rng(6).normal(0, 1, (4, 1, 3))).logprobs[:, 0, :]
     assert reference_ctc((), lp) == pytest.approx(-lp[:, 0].sum(), abs=1e-12)
+
+
+def test_oracle_raises_infeasible_on_unreachable_end_node():
+    cut = Lattice((Node(0, "start"), Node(1, 0), Node(2, "end")), (Edge(0, 1, 0.0, 0),), 1, 2)
+    post = PosteriorTensor(np.zeros((2, 1, 2)))
+    for call in (brute_force_marginal, finite_diff_grad):
+        with pytest.raises(InfeasibleLengthError) as info:
+            call(cut, post)
+        assert (info.value.frames, info.value.min_frames) == (2, None)
 
 
 def test_reference_ctc_infeasible_raises():
