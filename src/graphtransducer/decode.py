@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .lattice import BLANK, CTC_LIKE, TOPOLOGIES, TopologySpec, _is_int, _is_real, build_lattice
+from .lattice import BLANK, CTC_LIKE, TOPOLOGIES, TopologySpec, _is_int, _to_float, build_lattice
 from .loss import InfeasibleLengthError, log_marginal
 from .model import ToyModel, Utterance, _state_embedding_indices, forward_logits
 from .posteriors import PosteriorTensor
@@ -233,10 +233,10 @@ class DecodeConfig:
         if self.beam_size < 1:
             raise ValueError(f"beam_size must be >= 1; got {self.beam_size}")
         for name in ("theta1", "theta2", "lm_weight", "insertion_bonus"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValueError(f"{name} must be a real number, not a bool; got {value!r}")
-            object.__setattr__(self, name, float(value))
+            value = _to_float(getattr(self, name))
+            if value is None:
+                raise ValueError(f"{name} must be a real number, not a bool; got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.theta1 < 1.0:
             raise ValueError(f"theta1 must lie in [0, 1); got {self.theta1}")
         if not self.theta2 > 0.0:

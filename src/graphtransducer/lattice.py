@@ -64,6 +64,17 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _to_float(value) -> float | None:
+    """``value`` as a float, or None when it is not a real number (see
+    :func:`_is_real`) or is too large for a float."""
+    if not _is_real(value):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 def _store_int(obj, field: str, what: str) -> None:
     """Store the field of a frozen dataclass as an int when it holds a numpy
     integer; raise ValueError when it holds a bool or a non-integer."""
@@ -124,13 +135,11 @@ class Edge:
     def __post_init__(self):
         _store_int(self, "src", f"edge {self.src}->{self.dst} source")
         _store_int(self, "dst", f"edge {self.src}->{self.dst} target")
-        weight = self.log_weight
-        if not _is_real(weight):
-            raise ValueError(f"edge {self.src}->{self.dst} log weight {weight!r} is not a real number")
-        try:
-            object.__setattr__(self, "log_weight", float(weight))
-        except OverflowError:
-            raise ValueError(f"edge {self.src}->{self.dst} log weight {weight!r} overflows") from None
+        weight = _to_float(self.log_weight)
+        if weight is None:
+            problem = "overflows" if _is_real(self.log_weight) else "is not a real number"
+            raise ValueError(f"edge {self.src}->{self.dst} log weight {self.log_weight!r} {problem}")
+        object.__setattr__(self, "log_weight", weight)
         if math.isnan(self.log_weight) or self.log_weight == math.inf:
             raise ValueError(f"edge {self.src}->{self.dst} has invalid log weight {self.log_weight}")
         if self.state is not None:
@@ -612,12 +621,9 @@ def deserialize(text: str) -> Lattice:
         for key in ("from", "to"):
             _require(_is_int(item.get(key)), f"{key} must be an integer", f"{where}.{key}")
             _require(item[key] in by_id, f"unknown node id {item[key]}", f"{where}.{key}")
-        logw = item.get("logw")
-        _require(_is_real(logw), "logw must be a number", f"{where}.logw")
-        try:
-            logw = float(logw)
-        except OverflowError:
-            raise LatticeFormatError("logw is an integer too large for a float", where=f"{where}.logw") from None
+        _require(_is_real(item.get("logw")), "logw must be a number", f"{where}.logw")
+        logw = _to_float(item["logw"])
+        _require(logw is not None, "logw is an integer too large for a float", f"{where}.logw")
         _require(not (math.isnan(logw) or logw == math.inf),
                  "logw must not be NaN or +Infinity", f"{where}.logw")
         state = item.get("state")

@@ -9,9 +9,10 @@ underflows double precision otherwise.
 
 Every operation is a pure function of its arguments, so lattices can be
 reused freely.  :func:`batch_loss_and_grad` scores a batch of distinct
-utterances together: it concatenates their lattices into one graph and
-runs one frame recursion for the whole batch.  :func:`loss_and_grad` is
-its call with one member.
+utterances together: it concatenates their lattices into one graph, lays
+their tensors side by side on the state axis, and runs one frame
+recursion and one gradient pass for the whole batch.  :func:`loss_and_grad`
+is its call with one member.
 
 The entry points take any :class:`Lattice` that constructs; they do not
 run :func:`~graphtransducer.lattice.validate`, which governs
@@ -55,7 +56,9 @@ class LossResult:
     """Negative log marginal and its gradient w.r.t. the raw logits.
 
     ``grad`` has the exact shape of the logits; every (t, i) row sums to
-    zero because the loss is invariant to shifting a softmax row.
+    zero because the loss is invariant to shifting a softmax row.  In a
+    batch it is a view of the batch's gradient buffer, so keeping it keeps
+    that buffer alive.
     """
 
     loss: float
@@ -75,34 +78,6 @@ def _scatter_logsumexp(values: np.ndarray, index: np.ndarray, size: int) -> np.n
     total = np.zeros(size)
     np.add.at(total, index, np.exp(shifted, out=shifted))
     return peak + np.log(total, out=np.full_like(total, NEG_INF), where=total > 0.0)
-
-
-def _edge_scores(
-    lat: Lattice, logits: np.ndarray, lse: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """scores[t - 1, e] = log p(t, i_e, k_e) + w_e for each row t of ``logits``
-    and of their log normalizer ``lse``, written to ``out`` when given.
-
-    log p(t, i, k) = h[t, i, k] - lse[t, i] is formed here, at the E edges
-    only, so the (T, S, V) log-softmax is never written.  The one gather
-    from the tensor, so the one place that checks every edge's state and
-    label against it.
-    """
-    em = lat.emit
-    if em.src.size:
-        n_states, vocab = logits.shape[1:]
-        max_state = int(em.state.max())
-        if max_state >= n_states:
-            raise ValueError(
-                f"lattice references decoder state {max_state} but the tensor has "
-                f"only {n_states} states"
-            )
-        max_label = int(em.label.max())
-        if max_label >= vocab:
-            raise ValueError(f"lattice emits label {max_label} but the tensor vocab is {vocab}")
-    scores = np.subtract(logits[:, em.state, em.label], lse[:, em.state, 0], out=out)
-    scores += em.log_weight
-    return scores
 
 
 def _sweep(table: np.ndarray, scores: np.ndarray, gather: np.ndarray, scatter: np.ndarray):
@@ -127,47 +102,121 @@ def _group_columns(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarr
 
 
 class _Stack(NamedTuple):
-    """B lattices as one graph of disjoint parts.  Member b's node g is node
-    ``nodes[b] + g``, its emitting edges are columns ``edges[b]:edges[b + 1]``
-    of ``src``/``dst`` and it runs ``frames[b]`` frames.  The end edges of
-    all members sit in ``final_src``/``final_weight``, each with its
-    member's frame count in ``final_frames``."""
+    """B lattices as one graph of disjoint parts, scored against B tensors
+    side by side on the state axis.  Member b's node g is node
+    ``nodes[b] + g``, its decoder state i is state column ``states[b] + i``,
+    its emitting edges are entries ``edges[b]:edges[b + 1]`` of ``src``,
+    ``dst``, ``column`` (the edge's state column), ``label`` and
+    ``log_weight``, and it runs ``frames[b]`` frames.  The end edges of all
+    members sit in ``final_src``/``final_weight``, each with its member's
+    frame count in ``final_frames``."""
 
     frames: list[int]
     nodes: np.ndarray
     edges: np.ndarray
+    states: np.ndarray
     start: np.ndarray
     src: np.ndarray
     dst: np.ndarray
+    column: np.ndarray
+    label: np.ndarray
+    log_weight: np.ndarray
     final_src: np.ndarray
     final_weight: np.ndarray
     final_frames: np.ndarray
 
 
-def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]) -> tuple[_Stack, np.ndarray]:
-    """The members' lattices as one :class:`_Stack`, and their edge scores,
-    each gathered once by :func:`_edge_scores`, left-aligned in one
-    (max T_b, total E) array that holds -inf past each member's own T_b."""
+def _stack(pairs: list[tuple[Lattice, PosteriorTensor]]) -> _Stack:
     lats = [lat for lat, _ in pairs]
     frames = [post.num_frames for _, post in pairs]
+    emits = [lat.emit for lat in lats]
+    finals = [lat.final for lat in lats]
+    counts = [em.src.size for em in emits]
+    final_counts = [final.src.size for final in finals]
     nodes = np.cumsum([0] + [lat.num_nodes for lat in lats])
-    edges = np.cumsum([0] + [lat.emit.src.size for lat in lats])
-    stack = _Stack(
+    states = np.cumsum([0] + [post.num_states for _, post in pairs])
+    node_base = np.repeat(nodes[:-1], counts)
+    return _Stack(
         frames,
         nodes,
-        edges,
+        np.cumsum([0] + counts),
+        states,
         nodes[:-1] + [lat.start_id for lat in lats],
-        np.concatenate([lat.emit.src + base for lat, base in zip(lats, nodes)]),
-        np.concatenate([lat.emit.dst + base for lat, base in zip(lats, nodes)]),
-        np.concatenate([lat.final.src + base for lat, base in zip(lats, nodes)]),
-        np.concatenate([lat.final.log_weight for lat in lats]),
-        np.repeat(frames, [lat.final.src.size for lat in lats]),
+        np.concatenate([em.src for em in emits]) + node_base,
+        np.concatenate([em.dst for em in emits]) + node_base,
+        np.concatenate([em.state for em in emits]) + np.repeat(states[:-1], counts),
+        np.concatenate([em.label for em in emits]),
+        np.concatenate([em.log_weight for em in emits]),
+        np.concatenate([final.src for final in finals]) + np.repeat(nodes[:-1], final_counts),
+        np.concatenate([final.log_weight for final in finals]),
+        np.repeat(frames, final_counts),
     )
-    scores = np.empty((max(frames), edges[-1]))
-    for (lat, post), lo, hi in zip(pairs, edges, edges[1:]):
-        _edge_scores(lat, post.logits, post.lse, out=scores[:post.num_frames, lo:hi])
-        scores[post.num_frames:, lo:hi] = NEG_INF
-    return stack, scores
+
+
+def _packed(posts: list[PosteriorTensor], states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The members' logits and log normalizers side by side on the state
+    axis and left-aligned in time: member b's at frames ``:T_b`` of state
+    columns ``states[b]:states[b + 1]``.  Members that are consecutive
+    columns of one tensor, in order, are read where they lie: a lone
+    tensor, or the members of one pack (:meth:`PosteriorTensor.member`).
+    Any other batch is copied into zero-filled arrays."""
+    frames = max(post.num_frames for post in posts)
+    sources = [(post._pack or post, post._first) for post in posts]
+    pack, first = sources[0]
+    if all(source is pack and at == first + lo for (source, at), lo in zip(sources, states)):
+        columns = slice(first, first + states[-1])
+        return pack.logits[:frames, columns], pack.lse[:frames, columns]
+    logits = np.zeros((frames, states[-1], max(post.vocab_size for post in posts)))
+    lse = np.zeros((frames, states[-1], 1))
+    for post, lo, hi in zip(posts, states, states[1:]):
+        logits[:post.num_frames, lo:hi, :post.vocab_size] = post.logits
+        lse[:post.num_frames, lo:hi] = post.lse
+    return logits, lse
+
+
+def _edge_scores(
+    stack: _Stack, posts: list[PosteriorTensor], logits: np.ndarray, lse: np.ndarray
+) -> np.ndarray:
+    """scores[t - 1, e] = log p(t, i_e, k_e) + w_e for each emitting edge e
+    of the stack and each row t of ``logits`` and of their log normalizer
+    ``lse``, which hold the members' tensors as :func:`_packed` lays them out.
+
+    log p(t, i, k) = h[t, i, k] - lse[t, i] is formed here, at the E edges
+    only, so the (T, S, V) log-softmax is never written.  The one gather
+    from the tensors, so the one place that checks every edge's state and
+    label against its member's tensor.
+    """
+    counts = np.diff(stack.edges)
+    outside = stack.column >= np.repeat(stack.states[1:], counts)
+    outside |= stack.label >= np.repeat([post.vocab_size for post in posts], counts)
+    if outside.any():
+        b = int(np.searchsorted(stack.edges, outside.argmax(), side="right")) - 1
+        lo, hi = stack.edges[b], stack.edges[b + 1]
+        n_states, vocab = posts[b].logits.shape[1:]
+        max_state = int(stack.column[lo:hi].max() - stack.states[b])
+        if max_state >= n_states:
+            raise ValueError(
+                f"lattice references decoder state {max_state} but the tensor has "
+                f"only {n_states} states"
+            )
+        max_label = int(stack.label[lo:hi].max())
+        raise ValueError(f"lattice emits label {max_label} but the tensor vocab is {vocab}")
+    scores = np.subtract(logits[:, stack.column, stack.label], lse[:, stack.column, 0])
+    scores += stack.log_weight
+    return scores
+
+
+def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]):
+    """The members' lattices as one :class:`_Stack`, their tensors as
+    :func:`_packed` lays them out, and their edge scores from one
+    :func:`_edge_scores` gather, in one (max T_b, total E) array that holds
+    -inf past each member's own T_b."""
+    stack = _stack(pairs)
+    posts = [post for _, post in pairs]
+    logits, lse = _packed(posts, stack.states)
+    scores = _edge_scores(stack, posts, logits, lse)
+    scores[np.arange(len(scores))[:, None] >= np.repeat(stack.frames, np.diff(stack.edges))] = NEG_INF
+    return stack, scores, logits, lse
 
 
 def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
@@ -184,7 +233,7 @@ def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     Too small a T is not an error here; the marginal simply comes out as
     -inf and the loss entry point reports infeasibility.
     """
-    return _forward(*_stacked([(lat, post)]))
+    return _forward(*_stacked([(lat, post)])[:2])
 
 
 def _forward(stack: _Stack, scores: np.ndarray) -> np.ndarray:
@@ -205,7 +254,7 @@ def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     node.  Row T holds that terminal weight for nodes with an end edge and
     -inf elsewhere; the recursion fills rows T-1 down to 1.
     """
-    return _backward(*_stacked([(lat, post)]))
+    return _backward(*_stacked([(lat, post)])[:2])
 
 
 def _backward(stack: _Stack, scores: np.ndarray) -> np.ndarray:
@@ -234,9 +283,9 @@ def marginal(
     frames = post.num_frames
     if not 1 <= t <= frames:
         raise ValueError(f"frame index t={t} outside 1..{frames}")
-    em = lat.emit
-    edge = _edge_scores(lat, post.logits[t - 1:t], post.lse[t - 1:t])[0]
-    scores = alpha[t - 1, em.src] + edge + beta[t, em.dst]
+    stack = _stack([(lat, post)])
+    edge = _edge_scores(stack, [post], post.logits[t - 1:t], post.lse[t - 1:t])[0]
+    scores = alpha[t - 1, stack.src] + edge + beta[t, stack.dst]
     return float(_logsumexp(scores)[0])
 
 
@@ -244,7 +293,7 @@ def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     """Log of the total alignment probability; raises
     :class:`InfeasibleLengthError` when it is -inf, that is when no
     alignment of length T exists or every one crosses a zero-weight edge."""
-    stack, scores = _stacked([(lat, post)])
+    stack, scores, _, _ = _stacked([(lat, post)])
     (outcome,) = _log_marginals([lat], stack, _forward(stack, scores))
     if isinstance(outcome, InfeasibleLengthError):
         raise outcome
@@ -311,24 +360,32 @@ def batch_loss_and_grad(
     A member whose marginal is -inf comes back as the
     :class:`InfeasibleLengthError` that :func:`loss_and_grad` would raise;
     any other error raises for the batch.  The lattices are concatenated
-    with node offsets, as one graph of disjoint parts, and their edge
-    scores share one (max T_b, total E) array, -inf past each member's own
-    T_b, so each member reads its log marginal from logAlpha row T_b and
-    seeds logBeta at row T_b.  The log marginals come from one gather of
-    logAlpha at every member's end edges and one log-sum-exp per distinct
-    end-edge count.  Every member goes through the occupancy pass; an
-    infeasible member's log P is taken as +inf there, so its occupancies
-    come out exactly 0, never NaN.  The occupancies are grouped once over
-    (state column, label) keys, where a member's states take consecutive
-    columns of the batch, and each feasible member's gradient is
-    exp(logits - lse) scaled in place.  Each member's result equals its own
+    with node offsets, as one graph of disjoint parts, and the tensors lie
+    side by side on the state axis, left-aligned in time: member b takes
+    state columns states[b]:states[b + 1] and frames :T_b of one
+    (max T_b, total S_b, V) layout.  A batch of one pack's members in column
+    order (:meth:`PosteriorTensor.member`, as
+    :func:`~graphtransducer.model.train_step` makes them) is read in the
+    pack's arrays, a lone tensor as it is, and any other batch is copied
+    into that layout.  One gather reads every edge score into one
+    (max T_b, total E) array, -inf past each member's own T_b, so each
+    member reads its log marginal from logAlpha row T_b and seeds logBeta
+    at row T_b.  The log marginals come from one gather of logAlpha at
+    every member's end edges and one log-sum-exp per distinct end-edge
+    count.  Every member goes through the occupancy pass; an infeasible
+    member's log P is taken as +inf there, so its occupancies come out
+    exactly 0, never NaN.  The occupancies are grouped once over
+    (state column, label) keys, and one exp(logits - lse) over the layout,
+    scaled in place, gives every gradient; a member's ``grad`` is the view
+    [:T_b, states[b]:states[b + 1], :V_b] of it, so keeping one keeps the
+    batch's buffer alive.  Each member's result equals its own
     :func:`loss_and_grad` bit for bit: every cell goes through the same
     floating-point operations in the same order.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    stack, scores = _stacked(pairs)
+    stack, scores, logits, lse = _stacked(pairs)
     alpha = _forward(stack, scores)
     outcomes: list = _log_marginals([lat for lat, _ in pairs], stack, alpha)
     beta = _backward(stack, scores)
@@ -340,27 +397,21 @@ def batch_loss_and_grad(
     occ += beta[1:, stack.dst]
     np.exp(occ, out=occ)
 
-    # member b's states are columns states[b]:states[b + 1] of occ_state, and
-    # each edge's (state, label) pair is keyed column * vocab + label
-    states = np.cumsum([0] + [post.num_states for _, post in pairs])
-    vocab = max(post.vocab_size for _, post in pairs)
-    keys = np.concatenate([
-        (first + lat.emit.state) * vocab + lat.emit.label for (lat, _), first in zip(pairs, states)
-    ])
-    pair_keys, pair_of_edge = np.unique(keys, return_inverse=True)
+    # each edge's (state column, label) pair is keyed column * vocab + label
+    vocab = logits.shape[2]
+    pair_keys, pair_of_edge = np.unique(stack.column * vocab + stack.label, return_inverse=True)
     pair_column, pair_label = np.divmod(pair_keys, vocab)
     occ_pair = _group_columns(occ, pair_of_edge, pair_keys.size)
-    occ_state = _group_columns(occ_pair, pair_column, states[-1])
+    occ_state = _group_columns(occ_pair, pair_column, stack.states[-1])
 
-    bounds = np.searchsorted(pair_column, states)
+    # exp(logits - lse) * occ(t, i) - occ(t, i, k) for the whole batch at once;
+    # cells past a member's frames or vocabulary are never returned
+    grad = np.subtract(logits, lse)
+    np.exp(grad, out=grad)
+    grad *= occ_state[:, :, None]
+    grad[:, pair_column, pair_label] -= occ_pair
     for b, (_, post) in enumerate(pairs):
-        if not isinstance(outcomes[b], float):
-            continue
-        lo, hi = bounds[b], bounds[b + 1]
-        frames = post.num_frames
-        grad = np.subtract(post.logits, post.lse)
-        np.exp(grad, out=grad)
-        grad *= occ_state[:frames, states[b]:states[b + 1], None]
-        grad[:, pair_column[lo:hi] - states[b], pair_label[lo:hi]] -= occ_pair[:frames, lo:hi]
-        outcomes[b] = LossResult(loss=-outcomes[b], log_marginal=outcomes[b], grad=grad)
+        if isinstance(outcomes[b], float):
+            member = grad[:post.num_frames, stack.states[b]:stack.states[b + 1], :post.vocab_size]
+            outcomes[b] = LossResult(loss=-outcomes[b], log_marginal=outcomes[b], grad=member)
     return outcomes

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import TopologySpec, _is_int, _is_real, build_lattice
+from .lattice import TopologySpec, _is_int, _to_float, build_lattice
 from .loss import InfeasibleLengthError, batch_loss_and_grad, log_marginal
 # unused here; kept as a module attribute because the train-toy benchmark's
 # traced run (benchmarks/workloads.py) wraps ``model.loss_and_grad``
@@ -48,13 +48,14 @@ class ToyModel:
                                  ("vocab_size", vocab_size, 2)):
             if not _is_int(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}; got {value!r}")
-        if not (_is_real(lr) and np.isfinite(lr)):
+        rate = _to_float(lr)
+        if rate is None or not np.isfinite(rate):
             raise ValueError(f"lr must be finite, as a real number that is not a bool; got {lr!r}")
         rng = np.random.default_rng(seed)
         self.feat_dim = int(feat_dim)
         self.hidden = int(hidden)
         self.vocab_size = int(vocab_size)
-        self.lr = float(lr)
+        self.lr = rate
         self.enc_w = rng.normal(0.0, 1.0 / np.sqrt(feat_dim), (hidden, feat_dim))
         self.embed = rng.normal(0.0, 0.1, (vocab_size, hidden))
         self.join_w = rng.normal(0.0, 1.0 / np.sqrt(hidden), (vocab_size, hidden))
@@ -110,20 +111,42 @@ def _backprop(model: ToyModel, feats: np.ndarray, idx: np.ndarray, act: np.ndarr
     return grads
 
 
+def _packed_posteriors(tables: list[np.ndarray]) -> list[PosteriorTensor]:
+    """The (T_b, S_b, V) logit tables side by side on the state axis of one
+    zero-filled (max T_b, total S_b, V) buffer, left-aligned in time: table
+    b takes state columns ``states[b]:states[b + 1]`` and frames ``:T_b``.
+    One :class:`PosteriorTensor` normalizes the buffer; returns each
+    table's member of it."""
+    states = np.cumsum([0] + [table.shape[1] for table in tables])
+    logits = np.zeros((max(len(table) for table in tables), states[-1], tables[0].shape[2]))
+    for table, lo, hi in zip(tables, states, states[1:]):
+        logits[:len(table), lo:hi] = table
+    pack = PosteriorTensor(logits)
+    return [pack.member(len(table), lo, hi - lo) for table, lo, hi in zip(tables, states, states[1:])]
+
+
 def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     """One full-batch gradient step; returns the batch mean loss.
 
-    The model runs forward per utterance, one :func:`batch_loss_and_grad`
-    call scores the whole batch, and the gradients are backpropagated and
-    summed per utterance in batch order.  Utterances whose frame count
-    cannot realize their labels under the topology are skipped with a
-    warning rather than corrupting the step.
+    The model runs forward per utterance, and :func:`_packed_posteriors`
+    lays the logits side by side on the state axis of one zero-filled
+    buffer, left-aligned in time: utterance b takes state columns
+    ``states[b]:states[b + 1]`` and frames ``:T_b``, so one normalizer pass
+    serves the batch.  One :func:`batch_loss_and_grad` call scores the
+    members in that buffer and forms their gradients in one buffer of the
+    same layout; each member's gradient is a view of it, so keeping one
+    keeps the whole buffer alive.  The gradients are backpropagated and
+    summed per utterance in batch order.
+    Utterances whose frame count cannot realize their labels under the
+    topology are skipped with a warning rather than corrupting the step.
     """
+    if not batch:
+        raise ValueError("no feasible utterance in batch")
     acts = [_activations(model, utt) for utt in batch]
+    posts = _packed_posteriors([act @ model.join_w.T for _, _, act in acts])
     results = batch_loss_and_grad(
-        (build_lattice(TopologySpec(kind, utt.labels, model.vocab_size)),
-         PosteriorTensor(act @ model.join_w.T))
-        for utt, (_, _, act) in zip(batch, acts)
+        (build_lattice(TopologySpec(kind, utt.labels, model.vocab_size)), post)
+        for utt, post in zip(batch, posts)
     )
     losses = []
     total = {name: np.zeros_like(p) for name, p in model.params().items()}
@@ -132,7 +155,9 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
             warnings.warn(f"skipping infeasible utterance {i}: {result}", stacklevel=2)
             continue
         losses.append(result.loss)
-        grads = _backprop(model, feats, idx, act, result.grad)
+        # the grad is a strided view of the batch's buffer; matmul and einsum
+        # run faster on a contiguous copy, and give the same bits
+        grads = _backprop(model, feats, idx, act, np.ascontiguousarray(result.grad))
         for name in total:
             total[name] += grads[name]
     if not losses:

@@ -274,7 +274,8 @@ def test_missing_checkpoint_exit_3(capsys):
     lambda header: {**header, "hyper": {**header["hyper"], "hidden": "8"}},
     lambda header: {**header, "hyper": {**header["hyper"], "feat_dim": 6.0}},
     lambda header: {**header, "params": header["params"][:-1]},
-], ids=["no-hyper", "list", "str-dim", "float-dim", "missing-block"])
+    lambda header: {**header, "hyper": {**header["hyper"], "lr": 10**400}},
+], ids=["no-hyper", "list", "str-dim", "float-dim", "missing-block", "huge-lr"])
 @pytest.mark.parametrize("command", ["decode", "train-toy"])
 def test_malformed_checkpoint_header_is_a_data_error(tmp_path, capsys, edit, command):
     ckpt = tmp_path / "model.ckpt"

@@ -95,6 +95,8 @@ def test_prune_breaks_ties_lexicographically():
         dict(theta1=False),
         dict(theta1="0.1"),
         dict(lm_weight="1"),
+        dict(theta2=10**400),
+        dict(lm_weight=10**400),
     ],
 )
 def test_config_invariants(kwargs):

@@ -1,11 +1,15 @@
+import gc
 import json
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphtransducer.model as gt_model
 from graphtransducer import (
     BLANK,
     CTC_LIKE,
@@ -17,6 +21,7 @@ from graphtransducer import (
     Node,
     PosteriorTensor,
     TopologySpec,
+    ToyModel,
     backward_vars,
     batch_loss_and_grad,
     brute_force_marginal,
@@ -28,13 +33,16 @@ from graphtransducer import (
     forward_vars,
     log_marginal,
     loss_and_grad,
+    make_synthetic_task,
     marginal,
     reference_ctc,
     reference_monornnt,
     serialize,
+    train_step,
     validate,
 )
 from graphtransducer.loss import _scatter_logsumexp
+from graphtransducer.model import _packed_posteriors
 from graphtransducer.oracle import log_softmax
 from graphtransducer.posteriors import _BLOCK_BYTES, _logsumexp
 from graphtransducer.verify import FD_STEP, GRAD_TOL, ORACLE_TOL, ROW_SUM_TOL, random_case
@@ -391,17 +399,19 @@ def test_occupancy_gradient_at_larger_shapes(kind):
 
 
 @st.composite
-def loss_batches(draw):
+def loss_batches(draw, one_vocab=False):
     """1-6 (lattice, posteriors) pairs of both topologies with mixed T:
     repeated labels, -inf edge weights, a Lattice object used again by the
-    next member, and members too short for their labels."""
+    next member, and members too short for their labels; with ``one_vocab``
+    every member has the same vocabulary, as in a training step."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = draw(st.integers(2, 4)) if one_vocab else None
     batch = []
     for _ in range(draw(st.integers(1, 6))):
         if batch and draw(st.booleans()):
             lat = batch[-1][0]
         else:
-            vocab = draw(st.integers(2, 4))
+            vocab = shared or draw(st.integers(2, 4))
             labels = tuple(draw(st.lists(st.integers(1, vocab - 1), max_size=4)))
             lat = build_lattice(TopologySpec(draw(st.sampled_from(TOPOLOGIES)), labels, vocab))
             cut = draw(st.sets(st.integers(0, len(lat.edges) - 1), max_size=2))
@@ -429,6 +439,86 @@ def test_batch_equals_per_utterance_bit_for_bit(batch):
             continue
         assert outcome.loss == alone.loss and outcome.log_marginal == alone.log_marginal
         assert np.array_equal(outcome.grad, alone.grad)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(loss_batches(one_vocab=True))
+def test_packed_members_equal_their_own_tensors_bit_for_bit(batch):
+    # the members of one pack, as train_step makes them, scored in the pack
+    # as a batch and each on its own, against a tensor of their own logits
+    members = _packed_posteriors([post.logits for _, post in batch])
+    outcomes = batch_loss_and_grad((lat, member) for (lat, _), member in zip(batch, members))
+    for (lat, post), member, outcome in zip(batch, members, outcomes):
+        assert np.array_equal(member.logits, post.logits) and np.array_equal(member.lse, post.lse)
+        try:
+            alone = loss_and_grad(lat, post)
+        except InfeasibleLengthError as exc:
+            assert isinstance(outcome, InfeasibleLengthError)
+            assert (outcome.frames, outcome.min_frames) == (exc.frames, exc.min_frames)
+            with pytest.raises(InfeasibleLengthError) as info:
+                loss_and_grad(lat, member)
+            assert (info.value.frames, info.value.min_frames) == (exc.frames, exc.min_frames)
+            continue
+        for got in (outcome, loss_and_grad(lat, member)):
+            assert got.loss == alone.loss and got.log_marginal == alone.log_marginal
+            assert got.grad.shape == alone.grad.shape and np.array_equal(got.grad, alone.grad)
+
+
+def traced_peak(call):
+    """The peak of memory that ``call`` allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
+def test_a_lone_tensor_is_not_copied(kind):
+    # the gradient buffer is one logits' worth; a copy of the logits (and
+    # of lse) on top would take the peak past twice that
+    rng = np.random.default_rng(33)
+    lat = build_lattice(TopologySpec(kind, tuple(int(k) for k in rng.integers(1, 100, 100)), 100))
+    post = PosteriorTensor(rng.normal(0, 1, (500, 101, 100)))
+    assert traced_peak(lambda: loss_and_grad(lat, post)) < 1.5 * post.logits.nbytes
+
+
+def test_a_packs_members_are_not_copied():
+    rng = np.random.default_rng(34)
+    lats = [build_lattice(TopologySpec(kind, tuple(int(k) for k in rng.integers(1, 100, 50)), 100))
+            for kind in TOPOLOGIES]
+    members = _packed_posteriors([rng.normal(0, 1, (frames, 51, 100)) for frames in (250, 200)])
+    pack = members[0]._pack
+    assert traced_peak(lambda: batch_loss_and_grad(zip(lats, members))) < 1.5 * pack.logits.nbytes
+
+
+@pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
+def test_a_training_steps_tensors_are_freed_without_the_cyclic_collector(monkeypatch, kind):
+    # a reference cycle would keep every step's pack until a collection,
+    # which raises peak memory over a run
+    made, scored = [], []
+
+    def tracked(logits):
+        pack = PosteriorTensor(logits)
+        made.append(weakref.ref(pack))
+        return pack
+
+    def scoring(pairs):
+        pairs = list(pairs)
+        scored.extend(weakref.ref(post) for _, post in pairs)
+        return batch_loss_and_grad(pairs)
+
+    monkeypatch.setattr(gt_model, "PosteriorTensor", tracked)
+    monkeypatch.setattr(gt_model, "batch_loss_and_grad", scoring)
+    model, data = ToyModel(6, 32, 6, seed=1), make_synthetic_task(1, 20, 6, 5)
+    gc.disable()
+    try:
+        train_step(model, data, kind)
+        assert len(made) == 1 and len(scored) == len(data)
+        assert all(ref() is None for ref in made + scored)
+    finally:
+        gc.enable()
 
 
 def test_empty_batch_gives_no_results():

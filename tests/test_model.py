@@ -133,7 +133,7 @@ def test_numpy_integer_dims_are_stored_as_ints(tmp_path):
     assert load_model(tmp_path / "m.ckpt")[0].hidden == 8
 
 
-@pytest.mark.parametrize("lr", [math.nan, math.inf, True, "0.1"])
+@pytest.mark.parametrize("lr", [math.nan, math.inf, True, "0.1", pytest.param(10**400, id="huge-int")])
 def test_non_finite_learning_rate_is_rejected(lr):
     with pytest.raises(ValueError, match="lr must be finite"):
         ToyModel(6, 8, 6, lr=lr)
