@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .lattice import BLANK, CTC_LIKE, TOPOLOGIES, TopologySpec, _is_int, _to_float, build_lattice
+from .lattice import BLANK, CTC_LIKE, TOPOLOGIES, TopologySpec, _is_int, _is_real, _to_float, build_lattice
 from .loss import InfeasibleLengthError, log_marginal
 from .model import ToyModel, Utterance, _state_embedding_indices, forward_logits
 from .posteriors import PosteriorTensor
@@ -235,6 +235,8 @@ class DecodeConfig:
         for name in ("theta1", "theta2", "lm_weight", "insertion_bonus"):
             value = _to_float(getattr(self, name))
             if value is None:
+                if _is_real(getattr(self, name)):
+                    raise ValueError(f"{name} overflows a float; got {getattr(self, name)!r}")
                 raise ValueError(f"{name} must be a real number, not a bool; got {getattr(self, name)!r}")
             object.__setattr__(self, name, value)
         if not 0.0 <= self.theta1 < 1.0:

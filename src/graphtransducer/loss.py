@@ -10,9 +10,10 @@ underflows double precision otherwise.
 Every operation is a pure function of its arguments, so lattices can be
 reused freely.  :func:`batch_loss_and_grad` scores a batch of distinct
 utterances together: it concatenates their lattices into one graph, lays
-their tensors side by side on the state axis, and runs one frame
-recursion and one gradient pass for the whole batch.  :func:`loss_and_grad`
-is its call with one member.
+their tensors side by side on the state axis, and runs one frame loop
+and one gradient pass for the whole batch.  That loop fills logAlpha and
+logBeta together: it runs over the graph and its reverse as one graph of
+two disjoint parts.  :func:`loss_and_grad` is its call with one member.
 
 The entry points take any :class:`Lattice` that constructs; they do not
 run :func:`~graphtransducer.lattice.validate`, which governs
@@ -36,6 +37,7 @@ from .lattice import Lattice
 from .posteriors import PosteriorTensor, _logsumexp
 
 NEG_INF = float("-inf")
+_LOWEST = -np.finfo(np.float64).max  # no finite float is lower
 
 
 class InfeasibleLengthError(ValueError):
@@ -66,27 +68,27 @@ class LossResult:
     grad: np.ndarray
 
 
-def _scatter_logsumexp(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+def _scatter_logsumexp(
+    values: np.ndarray, index: np.ndarray, size: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Grouped log-sum-exp: out[j] = logsumexp(values[index == j]), in the
     idiom of :func:`~graphtransducer.posteriors._logsumexp`.  Each group's
-    peak is shifted out first; an empty or all -inf group gives -inf
-    without a floating-point warning."""
-    peak = np.full(size, NEG_INF)
+    peak is shifted out first.  Peaks start at ``_LOWEST``, not -inf, so a
+    group with a finite entry gets its own maximum and no shift computes
+    -inf - -inf.  An empty or all -inf group sums to 0; its log is not
+    taken, so its entry keeps the -inf that ``out`` holds (``out``, when
+    given, must hold -inf), with no floating-point warning.
+    ``np.bincount`` adds each group's terms in index order, as
+    ``np.add.at`` does."""
+    peak = np.full(size, _LOWEST)
     np.maximum.at(peak, index, values)
-    peak[peak == NEG_INF] = 0.0  # exp(-inf - -inf) would be NaN
     shifted = np.subtract(values, peak[index])
-    total = np.zeros(size)
-    np.add.at(total, index, np.exp(shifted, out=shifted))
-    return peak + np.log(total, out=np.full_like(total, NEG_INF), where=total > 0.0)
-
-
-def _sweep(table: np.ndarray, scores: np.ndarray, gather: np.ndarray, scatter: np.ndarray):
-    """The frame recursion of both directions, filling ``table`` in place:
-    table[s] = logsumexp, grouped by ``scatter``, of table[s - 1, gather]
-    plus scores[s - 1], for s = 1 .. len(scores)."""
-    size = table.shape[1]
-    for s, row in enumerate(scores, start=1):
-        table[s] = _scatter_logsumexp(table[s - 1, gather] + row, scatter, size)
+    total = np.bincount(index, np.exp(shifted, out=shifted), size)
+    if out is None:
+        out = np.full(size, NEG_INF)
+    np.log(total, out=out, where=total > 0.0)
+    out += peak
+    return out
 
 
 def _group_columns(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarray:
@@ -219,6 +221,48 @@ def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]):
     return stack, scores, logits, lse
 
 
+def _sweep(stack: _Stack, scores: np.ndarray, backward: bool = True) -> np.ndarray:
+    """The frame recursion over the stack, in one loop of T frames.
+
+    With ``backward``, the lattices and their reverses run as one graph of
+    two disjoint parts: node g of the reverse is node N + g, the edges are
+    gathered at ``[src, dst + N]`` and grouped by ``[dst, src + N]``, and
+    row s of the (T + 1, 2N) table holds [logAlpha[s], logBeta[T - s]].
+    Frame s adds scores[s - 1] to the first E gathered values and
+    scores[T - s] to the rest, in place.  A member's terminal weights go
+    into the logBeta half at row T - T_b, before the step that reads it;
+    past its T_b a member reads -inf scores, so those rows hold -inf.
+    The last frame also fills logBeta row 0, which the recursion leaves
+    out (it ends at row 1), so that row is reset to -inf.  Each frame is
+    one :func:`_scatter_logsumexp` over both parts, whose groups are
+    disjoint, so every cell comes out as a loop of its own direction
+    would give it.  Without ``backward``, the table is logAlpha alone, of
+    shape (T + 1, N)."""
+    frames, nodes, edges = len(scores), stack.nodes[-1], stack.src.size
+    gather, scatter, size, seeds = stack.src, stack.dst, nodes, {}
+    if backward:
+        gather = np.concatenate([stack.src, stack.dst + nodes])
+        scatter = np.concatenate([stack.dst, stack.src + nodes])
+        size = 2 * nodes
+        for t in set(stack.frames):
+            ends = stack.final_frames == t
+            seeds[frames - t] = nodes + stack.final_src[ends], stack.final_weight[ends]
+    table = np.full((frames + 1, size), NEG_INF)
+    table[0, stack.start] = 0.0
+    for s, (ahead, behind) in enumerate(zip(scores, scores[::-1]), start=1):
+        if s - 1 in seeds:
+            columns, weights = seeds[s - 1]
+            table[s - 1, columns] = weights
+        values = table[s - 1].take(gather)
+        values[:edges] += ahead
+        if backward:
+            values[edges:] += behind
+        _scatter_logsumexp(values, scatter, size, out=table[s])
+    if backward:
+        table[frames, nodes:] = NEG_INF
+    return table
+
+
 def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     """Forward table logAlpha of shape (T + 1, num_nodes).
 
@@ -233,16 +277,7 @@ def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     Too small a T is not an error here; the marginal simply comes out as
     -inf and the loss entry point reports infeasibility.
     """
-    return _forward(*_stacked([(lat, post)])[:2])
-
-
-def _forward(stack: _Stack, scores: np.ndarray) -> np.ndarray:
-    """Every member's logAlpha side by side; a member's rows past its T_b
-    read -inf scores, so they hold -inf."""
-    alpha = np.full((len(scores) + 1, stack.nodes[-1]), NEG_INF)
-    alpha[0, stack.start] = 0.0
-    _sweep(alpha, scores, stack.src, stack.dst)
-    return alpha
+    return _sweep(*_stacked([(lat, post)])[:2], backward=False)
 
 
 def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
@@ -252,24 +287,12 @@ def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     node g after frame t, the log product of remaining edge weights and
     posteriors, including the terminal weight of the edge into the end
     node.  Row T holds that terminal weight for nodes with an end edge and
-    -inf elsewhere; the recursion fills rows T-1 down to 1.
+    -inf elsewhere; the recursion fills rows T-1 down to 1, and row 0 is
+    -inf.  It comes from the loop that fills logAlpha too (:func:`_sweep`),
+    and is the logBeta half of that joint table as a view, reversed in time.
     """
-    return _backward(*_stacked([(lat, post)])[:2])
-
-
-def _backward(stack: _Stack, scores: np.ndarray) -> np.ndarray:
-    """:func:`_sweep` over the reversed lattices and frames.  A member's row
-    T_b holds the terminal weights at its final nodes, written just before
-    the sweep reads that row, so the sweep runs in one segment between each
-    two distinct T_b; rows below T_b read score rows T_b - 1 down to 1, and
-    rows past T_b and row 0 stay -inf."""
-    beta = np.full((len(scores) + 1, stack.nodes[-1]), NEG_INF)
-    ends = sorted(set(stack.frames), reverse=True)
-    for hi, lo in zip(ends, ends[1:] + [1]):
-        seed = stack.final_frames == hi
-        beta[hi, stack.final_src[seed]] = stack.final_weight[seed]
-        _sweep(beta[hi:lo - 1:-1], scores[hi - 1:lo - 1:-1], stack.dst, stack.src)
-    return beta
+    table = _sweep(*_stacked([(lat, post)])[:2])
+    return table[::-1, lat.num_nodes:]
 
 
 def marginal(
@@ -294,7 +317,7 @@ def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     :class:`InfeasibleLengthError` when it is -inf, that is when no
     alignment of length T exists or every one crosses a zero-weight edge."""
     stack, scores, _, _ = _stacked([(lat, post)])
-    (outcome,) = _log_marginals([lat], stack, _forward(stack, scores))
+    (outcome,) = _log_marginals([lat], stack, _sweep(stack, scores, backward=False))
     if isinstance(outcome, InfeasibleLengthError):
         raise outcome
     return outcome
@@ -338,9 +361,10 @@ def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
         d loss / d h[t, i, k] = p(t, i, k) * occ(t, i) - occ(t, i, k).
 
     The edge scores w_e + log p(t, i_e, k_e) are gathered once, from the
-    logits and their log normalizer, in one (T, E) array that one recursion
-    reads over the lattice (logAlpha) and over its reverse (logBeta) and
-    that then becomes the occupancy buffer.  The softmax p is formed once,
+    logits and their log normalizer, in one (T, E) array.  One frame loop
+    reads it over the lattice and its reverse at once, as one graph of two
+    disjoint parts, and fills logAlpha and logBeta; the array then becomes
+    the occupancy buffer.  The softmax p is formed once,
     as exp(logits - lse) in the gradient's own buffer, which the
     occupancies then scale in place; the (T, S, V) log-softmax is never
     written.  This is :func:`batch_loss_and_grad` of the one pair.
@@ -368,9 +392,11 @@ def batch_loss_and_grad(
     :func:`~graphtransducer.model.train_step` makes them) is read in the
     pack's arrays, a lone tensor as it is, and any other batch is copied
     into that layout.  One gather reads every edge score into one
-    (max T_b, total E) array, -inf past each member's own T_b, so each
-    member reads its log marginal from logAlpha row T_b and seeds logBeta
-    at row T_b.  The log marginals come from one gather of logAlpha at
+    (max T_b, total E) array, -inf past each member's own T_b.  One frame
+    loop fills logAlpha and logBeta for every member (:func:`_sweep`): each
+    member reads its log marginal from logAlpha row T_b, and the loop
+    writes the member's terminal weights into logBeta row T_b before it
+    reads that row.  The log marginals come from one gather of logAlpha at
     every member's end edges and one log-sum-exp per distinct end-edge
     count.  Every member goes through the occupancy pass; an infeasible
     member's log P is taken as +inf there, so its occupancies come out
@@ -386,9 +412,9 @@ def batch_loss_and_grad(
     if not pairs:
         return []
     stack, scores, logits, lse = _stacked(pairs)
-    alpha = _forward(stack, scores)
+    table = _sweep(stack, scores)
+    alpha, beta = table[:, :stack.nodes[-1]], table[::-1, stack.nodes[-1]:]
     outcomes: list = _log_marginals([lat for lat, _ in pairs], stack, alpha)
-    beta = _backward(stack, scores)
 
     # the scores become occ[t - 1, e] in place; alpha - log P goes in before beta
     logp = [outcome if isinstance(outcome, float) else np.inf for outcome in outcomes]

@@ -104,6 +104,16 @@ def test_config_invariants(kwargs):
         DecodeConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [(dict(theta2=10**400), "overflow"), (dict(lm_weight=10**400), "overflow"),
+     (dict(theta2=True), "not a bool")],
+)
+def test_config_names_the_fault_of_a_bad_number(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DecodeConfig(**kwargs)
+
+
 def test_config_stores_real_numbers_as_floats():
     cfg = DecodeConfig(theta1=np.float32(0.5), theta2=3, lm_weight=np.int64(1), insertion_bonus=2)
     values = (cfg.theta1, cfg.theta2, cfg.lm_weight, cfg.insertion_bonus)

@@ -41,7 +41,7 @@ from graphtransducer import (
     train_step,
     validate,
 )
-from graphtransducer.loss import _scatter_logsumexp
+from graphtransducer.loss import _scatter_logsumexp, _stacked, _sweep
 from graphtransducer.model import _packed_posteriors
 from graphtransducer.oracle import log_softmax
 from graphtransducer.posteriors import _BLOCK_BYTES, _logsumexp
@@ -464,6 +464,63 @@ def test_packed_members_equal_their_own_tensors_bit_for_bit(batch):
             assert got.grad.shape == alone.grad.shape and np.array_equal(got.grad, alone.grad)
 
 
+def _per_direction_logsumexp(values, index, size):
+    # the reference step: -inf peaks set to 0, and np.add.at into zeros
+    peak = np.full(size, NEG_INF)
+    np.maximum.at(peak, index, values)
+    peak[peak == NEG_INF] = 0.0
+    shifted = np.subtract(values, peak[index])
+    total = np.zeros(size)
+    np.add.at(total, index, np.exp(shifted, out=shifted))
+    return peak + np.log(total, out=np.full_like(total, NEG_INF), where=total > 0.0)
+
+
+def _per_direction_sweep(table, scores, gather, scatter):
+    for s, row in enumerate(scores, start=1):
+        table[s] = _per_direction_logsumexp(table[s - 1, gather] + row, scatter, table.shape[1])
+
+
+def per_direction_tables(stack, scores):
+    """logAlpha and logBeta from one loop each, logBeta in one segment
+    between each two distinct T_b, seeded at the segment's top row."""
+    alpha = np.full((len(scores) + 1, stack.nodes[-1]), NEG_INF)
+    alpha[0, stack.start] = 0.0
+    _per_direction_sweep(alpha, scores, stack.src, stack.dst)
+    beta = np.full_like(alpha, NEG_INF)
+    ends = sorted(set(stack.frames), reverse=True)
+    for hi, lo in zip(ends, ends[1:] + [1]):
+        seed = stack.final_frames == hi
+        beta[hi, stack.final_src[seed]] = stack.final_weight[seed]
+        _per_direction_sweep(beta[hi:lo - 1:-1], scores[hi - 1:lo - 1:-1], stack.dst, stack.src)
+    return alpha, beta
+
+
+@st.composite
+def sweep_batches(draw):
+    """:func:`loss_batches`, with lattices whose end node no path reaches
+    put in at random places."""
+    batch = draw(loss_batches())
+    for _ in range(draw(st.integers(0, 2))):
+        cut = Lattice((Node(0, "start"), Node(1, 0), Node(2, "end")), (Edge(0, 1, 0.0, 0),), 1, 2)
+        post = rand_post(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 6)), 1, 2)
+        batch.insert(draw(st.integers(0, len(batch))), (cut, post))
+    return batch
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sweep_batches())
+def test_the_joint_sweep_equals_one_sweep_per_direction_bit_for_bit(batch):
+    stack, scores = _stacked(batch)[:2]
+    alpha, beta = per_direction_tables(stack, scores)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = _sweep(stack, scores)
+        alone = _sweep(stack, scores, backward=False)
+    nodes = stack.nodes[-1]
+    assert np.array_equal(table[:, :nodes], alpha) and np.array_equal(alone, alpha)
+    assert np.array_equal(table[::-1, nodes:], beta)
+
+
 def traced_peak(call):
     """The peak of memory that ``call`` allocates, in bytes."""
     tracemalloc.start()
@@ -482,6 +539,16 @@ def test_a_lone_tensor_is_not_copied(kind):
     lat = build_lattice(TopologySpec(kind, tuple(int(k) for k in rng.integers(1, 100, 100)), 100))
     post = PosteriorTensor(rng.normal(0, 1, (500, 101, 100)))
     assert traced_peak(lambda: loss_and_grad(lat, post)) < 1.5 * post.logits.nbytes
+
+
+@pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
+def test_the_sweep_allocates_little_beyond_its_tables(kind):
+    # a (T, 2E) score copy breaks this; it tipped loss-long peak_rss_mb to 191 MB (see CHANGES.md)
+    rng = np.random.default_rng(33)
+    lat = build_lattice(TopologySpec(kind, tuple(int(k) for k in rng.integers(1, 100, 100)), 100))
+    stack, scores = _stacked([(lat, PosteriorTensor(rng.normal(0, 1, (500, 101, 100))))])[:2]
+    tables = 2 * (len(scores) + 1) * lat.num_nodes * 8
+    assert traced_peak(lambda: _sweep(stack, scores)) < 1.25 * tables
 
 
 def test_a_packs_members_are_not_copied():
