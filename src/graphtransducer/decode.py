@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -128,7 +128,9 @@ class CountsLm:
     the extension scores of every label after a context, each computed by
     ``extension_score``; rows are cached on first use, one per seen
     context and one that every unseen context shares.  The constructor
-    rejects a context id, label or count that is not an integer.
+    rejects a context id, label or count that is not an integer, and a
+    context id or label outside 1..V-1: such a context could never match
+    a prefix, yet its length would raise the order.
     """
 
     def __init__(self, counts: Mapping[tuple[int, ...], Mapping[int, int]], vocab_size: int):
@@ -138,6 +140,11 @@ class CountsLm:
         for ctx, by_label in counts.items():
             if not all(map(_is_int, ctx)):
                 raise ValueError(f"context {tuple(ctx)!r}: label ids must be integers")
+            if not all(1 <= c < vocab_size for c in ctx):
+                raise ValueError(
+                    f"context {tuple(ctx)}: label ids outside 1..{vocab_size - 1}, "
+                    "which no prefix holds"
+                )
             for label, count in by_label.items():
                 if not _is_int(label) or not 1 <= label < vocab_size:
                     raise ValueError(
@@ -249,35 +256,29 @@ class DecodeConfig:
 
 
 def prune(
-    hyps: Iterable[tuple[int, ...]],
-    scores: Mapping[tuple[int, ...], float],
+    hyps: Sequence[tuple[int, ...]],
+    scores: Sequence[float],
     max_hyps: int,
     theta2: float,
-) -> list[tuple[int, ...]]:
-    """Keep the best ``max_hyps`` by score, then drop anything scoring
-    below best - theta2.  Ties break toward the lexicographically smaller
-    prefix so results are reproducible."""
-    ranked = sorted(hyps, key=lambda h: (-scores[h], h))
+) -> list[int]:
+    """Rank candidates by position: ``scores[j]`` is the score of prefix
+    ``hyps[j]``.  Keep the best ``max_hyps`` by score, then drop anything
+    scoring below best - theta2, and return the kept positions, best
+    first.  Ties break toward the lexicographically smaller prefix so
+    results are reproducible."""
+    ranked = sorted(range(len(hyps)), key=lambda j: (-scores[j], hyps[j]))
     kept = ranked[:max_hyps]
     if not kept:
         return kept
     floor = scores[kept[0]] - theta2
-    return [h for h in kept if scores[h] >= floor]
+    return [j for j in kept if scores[j] >= floor]
 
 
-class _FrameRows(dict):
-    """One frame's posterior rows by decoder state, each read on first use
-    as the row's floats and its labels above the theta1 floor; blank is
-    always kept apart."""
-
-    def __init__(self, frame: np.ndarray, log_theta1: float):
-        super().__init__()
-        self._frame, self._floor = frame, log_theta1
-
-    def __missing__(self, state: int) -> tuple[list[float], list[int]]:
-        lp = self._frame[state].tolist()
-        self[state] = found = (lp, [k for k in range(1, len(lp)) if lp[k] > self._floor])
-        return found
+def _frame_row(row: np.ndarray, log_theta1: float) -> tuple[list[float], list[int]]:
+    """One decoder state's posterior row as floats, and its labels above
+    the theta1 floor; blank is always kept apart."""
+    lp = row.tolist()
+    return lp, [k for k in range(1, len(lp)) if lp[k] > log_theta1]
 
 
 def beam_search(
@@ -303,18 +304,23 @@ def beam_search(
     An LM therefore fuses when it has ``extension_row(context)``, the
     extension scores after a context indexed by label, and ``vocab_size``,
     which must equal the provider's unless it is None (any vocabulary); a
-    mismatch raises ``ValueError`` before the first frame.  The running sum
-    equals the LM's whole-prefix ``score`` when its rows hold the terms of
-    that sum, as ``CountsLm``'s do.
+    mismatch raises ``ValueError`` before the first frame.  A row may
+    depend only on its context: a survivor keeps the row it fetched for
+    the frames it goes on surviving.  The running sum equals the LM's
+    whole-prefix ``score`` when its rows hold the terms of that sum, as
+    ``CountsLm``'s do.
 
     Within a frame a prefix is keyed by an integer, ``key(()) = 0`` and
     ``key(h + (k,)) = key(h) * V + k``, which is unique because labels run
-    1..V-1; its tuple is built only when it reaches pruning.  Each frame
-    reads its posterior row once per decoder state, the state that
+    1..V-1; its tuple is built only when it is ranked.  Each frame reads
+    its posterior row once per decoder state, the state that
     ``provider.state(length, last)`` picks for a prefix.  The survivors
     expand longest first, so a survivor has continued in place before its
-    parent adds the mass that lengthens it, and no parent has reached a
-    survivor when that survivor expands.
+    parent adds the mass that lengthens it.  Only its parent reaches a
+    lengthened prefix, so a new or revived one is scored where it is made,
+    and the survivors' own records once every survivor has expanded.  The
+    records scoring at least the P-th best are ranked by position in
+    parallel lists, which ``prune`` cuts to the next frame's survivors.
     """
     if lm is None:
         lm = UniformLm()
@@ -329,28 +335,29 @@ def beam_search(
     bonus_at = [bonus * math.log(n) if n else 0.0 for n in range(provider.num_frames + 1)]
 
     # one record per prefix key: [p_b, p_nb, LM log probability, mass,
-    # length, prefix, label].  p_b and p_nb split the prefix's probability
-    # by whether the alignment ends in blank, in the log domain; mass is
-    # log(p_b + p_nb), set when the record is scored.  Until it reaches
-    # pruning a lengthened prefix holds its parent's prefix and its own
-    # last label; otherwise the label is None.
-    prev = {0: [0.0, NEG_INF, 0.0, 0.0, 0, (), None]}
-    beam = {0: ()}  # surviving prefixes by key, longest first
+    # length, key, prefix, label, LM row].  p_b and p_nb split the prefix's
+    # probability by whether the alignment ends in blank, in the log domain;
+    # mass is log(p_b + p_nb), set when the record is scored.  A lengthened
+    # prefix holds its parent's prefix and its own last label, and no row;
+    # a prefix continued in place holds itself, label None, and the LM row
+    # its expansion used, if it fetched or carried one.
+    prev = {0: [0.0, NEG_INF, 0.0, 0.0, 0, 0, (), None, None]}
+    beam = [(0, (), None)]  # the survivors' (key, prefix, LM row), longest first
     for frame in provider.logprobs:
-        rows = _FrameRows(frame, log_theta1)
+        rows: dict[int, tuple[list[float], list[int]]] = {}  # by decoder state
         cur: dict[int, list] = {}
-        for key, prefix in beam.items():
-            p_b, p_nb, lm_score, total, n = prev[key][:5]
+        made, scores, continued = [], [], []
+        for key, prefix, lm_row in beam:
+            p_b, p_nb, lm_score, total, n, _, _, _, _ = prev[key]
             last = prefix[-1] if n else BLANK
             state = state_of(n, last)
-            lp, labels = rows[state]
+            found = rows.get(state)
+            if found is None:
+                found = rows[state] = _frame_row(frame[state], log_theta1)
+            lp, labels = found
 
-            # blank keeps the prefix, and the final label continues its
-            # non-blank mass in place; no parent has reached it yet
-            own = lp[last] + p_nb if n else NEG_INF
-            cur[key] = [lp[BLANK] + total, own, lm_score, None, n, prefix, None]
-
-            base, lm_row = key * vocab, None
+            base, longer = key * vocab, n + 1
+            lift = bonus_at[longer]
             for k in labels:
                 child = base + k
                 gain = lp[k] + (p_b if k == last else total)
@@ -358,43 +365,63 @@ def beam_search(
                 if earlier is None:
                     if lm_row is None:
                         lm_row = extension_row(prefix)
-                    cur[child] = [NEG_INF, gain, lm_score + lm_row[k], None, n + 1, prefix, k]
-                    continue
-                rec = cur.get(child)
-                if rec is not None:  # a survivor, already continued in place
-                    rec[1] = _log_add(rec[1], gain)
+                    lm_child = lm_score + lm_row[k]
+                    rec = [NEG_INF, gain, lm_child, gain, longer, child, prefix, k, None]
+                    score = gain + weight * lm_child
                 else:
+                    rec = cur.get(child)
+                    if rec is not None:  # a survivor, already continued in place
+                        rec[1] = _log_add(rec[1], gain)
+                        continue
                     # scored last frame but pruned away: revive its mass
-                    lp_child = rows[state_of(n + 1, k)][0]
-                    cur[child] = [lp_child[BLANK] + earlier[3],
-                                  _log_add(gain, lp_child[k] + earlier[1]),
-                                  earlier[2], None, n + 1, prefix, k]
+                    _, p_nb_was, lm_child, mass_was, _, _, _, _, _ = earlier
+                    at = state_of(longer, k)
+                    found = rows.get(at)
+                    if found is None:
+                        found = rows[at] = _frame_row(frame[at], log_theta1)
+                    lp_child = found[0]
+                    p_b_child = lp_child[BLANK] + mass_was
+                    p_nb_child = _log_add(gain, lp_child[k] + p_nb_was)
+                    mass = p_nb_child if p_b_child == NEG_INF else _log_add(p_b_child, p_nb_child)
+                    rec = [p_b_child, p_nb_child, lm_child, mass, longer, child, prefix, k, None]
+                    score = mass + weight * lm_child
+                if bonus != 0.0:
+                    score += lift
+                cur[child] = rec
+                made.append(rec)
+                scores.append(score)
 
-        scores = []
-        for rec in cur.values():
-            p_b = rec[0]
+            # blank keeps the prefix, and the final label continues its
+            # non-blank mass in place; its parent may still add to it
+            own = lp[last] + p_nb if n else NEG_INF
+            cur[key] = rec = [lp[BLANK] + total, own, lm_score, None, n, key, prefix, None, lm_row]
+            continued.append(rec)
+
+        for rec in continued:
+            p_b, p_nb, lm_score, _, n, _, _, _, _ = rec
             # _log_add inlined where one side has no mass yet
-            rec[3] = mass = rec[1] if p_b == NEG_INF else _log_add(p_b, rec[1])
-            score = mass + weight * rec[2]
-            if bonus != 0.0 and rec[4]:
-                score += bonus_at[rec[4]]
+            rec[3] = mass = p_nb if p_b == NEG_INF else _log_add(p_b, p_nb)
+            score = mass + weight * lm_score
+            if bonus != 0.0 and n:
+                score += bonus_at[n]
+            made.append(rec)
             scores.append(score)
-        # every record scoring at least the P-th best reaches prune, ties
+        # every record scoring at least the P-th best is ranked, ties
         # included; prune breaks the ties and applies theta2
         cut = sorted(scores, reverse=True)[max_hyps - 1] if len(scores) > max_hyps else NEG_INF
-        ranked, keys = {}, {}
-        for (key, rec), score in zip(cur.items(), scores):
+        hyps, ranked, picked = [], [], []
+        for rec, score in zip(made, scores):
             if score >= cut:
-                if rec[6] is not None:
-                    rec[5], rec[6] = rec[5] + (rec[6],), None
-                ranked[rec[5]] = score
-                keys[rec[5]] = key
-        kept = prune(ranked, ranked, max_hyps, cfg.theta2)
+                hyps.append(rec[6] if rec[7] is None else rec[6] + (rec[7],))
+                ranked.append(score)
+                picked.append(rec)
+        kept = prune(hyps, ranked, max_hyps, cfg.theta2)
         assert kept, "pruning emptied the beam despite the forced blank"
-        beam = {keys[prefix]: prefix for prefix in sorted(kept, key=len, reverse=True)}
+        beam = [(picked[j][5], hyps[j], picked[j][8])
+                for j in sorted(kept, key=lambda j: picked[j][4], reverse=True)]
         prev = cur
 
-    return kept[0], ranked[kept[0]]
+    return hyps[kept[0]], ranked[kept[0]]
 
 
 def greedy_search(provider: TensorPosteriors, kind: str) -> tuple[int, ...]:

@@ -1,8 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtransducer import (
     CTC_LIKE,
@@ -19,6 +22,8 @@ from graphtransducer import (
     greedy_search,
     prune,
 )
+import graphtransducer.decode as gt_decode
+from graphtransducer.decode import _log_add
 from graphtransducer.verify import exhaustive_best_prefix
 
 
@@ -52,23 +57,28 @@ def no_pruning(total_prefixes):
 
 def test_prune_keeps_top_p():
     hyps = [(1,), (2,), (3,), (4,), (5,)]
-    scores = {(1,): -1.0, (2,): -5.0, (3,): -0.5, (4,): -3.0, (5,): -2.0}
-    assert prune(hyps, scores, 2, math.inf) == [(3,), (1,)]
+    scores = [-1.0, -5.0, -0.5, -3.0, -2.0]
+    assert [hyps[j] for j in prune(hyps, scores, 2, math.inf)] == [(3,), (1,)]
 
 
 def test_prune_threshold_is_strict():
     hyps = [(1,), (2,), (3,)]
     theta2 = 2.0
-    scores = {(1,): 0.0, (2,): -theta2 - 1e-9, (3,): -theta2 + 1e-9}
-    assert prune(hyps, scores, 10, theta2) == [(1,), (3,)]
-    boundary = {(1,): 0.0, (2,): -theta2}
-    assert prune([(1,), (2,)], boundary, 10, theta2) == [(1,), (2,)]
+    scores = [0.0, -theta2 - 1e-9, -theta2 + 1e-9]
+    assert [hyps[j] for j in prune(hyps, scores, 10, theta2)] == [(1,), (3,)]
+    boundary = [(1,), (2,)]
+    assert [boundary[j] for j in prune(boundary, [0.0, -theta2], 10, theta2)] == [(1,), (2,)]
 
 
 def test_prune_breaks_ties_lexicographically():
     hyps = [(2,), (1, 3), (1, 2)]
-    scores = {(2,): -1.0, (1, 3): -1.0, (1, 2): -1.0}
-    assert prune(hyps, scores, 2, math.inf) == [(1, 2), (1, 3)]
+    scores = [-1.0, -1.0, -1.0]
+    assert [hyps[j] for j in prune(hyps, scores, 2, math.inf)] == [(1, 2), (1, 3)]
+
+
+def test_prune_of_no_candidates_keeps_none():
+    assert prune([], [], 3, math.inf) == []
+    assert prune((), (), 3, 1.0) == []
 
 
 # --- config and LM ------------------------------------------------------------
@@ -170,11 +180,25 @@ def test_counts_lm_rejects_malformed_lines(tmp_path):
         ({(1,): {4: 1}}, "label 4 outside 1..3"),
         ({(): {1: 0}}, "count must be positive"),
         ({(1, 2): {3: -2}}, "count must be positive"),
+        ({(0,): {1: 1}}, r"context \(0,\): label ids outside 1..3"),
+        ({(-1,): {1: 1}}, r"context \(-1,\): label ids outside 1..3"),
+        ({(2, 4): {1: 1}}, r"context \(2, 4\): label ids outside 1..3"),
     ],
 )
 def test_counts_lm_constructor_rejects_bad_labels_and_counts(counts, match):
     with pytest.raises(ValueError, match=match):
         CountsLm(counts, vocab_size=4)
+
+
+@pytest.mark.parametrize("context", ["0", "-1", "4", "1 4"])
+def test_counts_lm_load_rejects_context_ids_outside_the_labels(tmp_path, context):
+    # such a context matches no prefix, yet it would raise the order and
+    # with it every other extension score
+    path = tmp_path / "counts.tsv"
+    path.write_text(f"\t1\t3\n{context}\t2\t1\n", encoding="utf-8")
+    want = tuple(int(tok) for tok in context.split())
+    with pytest.raises(ValueError, match=re.escape(f"context {want}: label ids outside 1..3")):
+        CountsLm.load(path, vocab_size=4)
 
 
 @pytest.mark.parametrize(
@@ -499,6 +523,156 @@ def test_empty_prefix_takes_no_insertion_bonus():
     best, score = beam_search(provider, DecodeConfig(beam_size=4, insertion_bonus=2.0))
     assert best == ()
     assert math.isfinite(score)
+
+
+def test_search_calls_prune_once_per_frame_by_position(monkeypatch):
+    # the traced benchmark wraps decode.prune and counts len(scores) as
+    # candidates and len(kept) as survivors, so the search must call it
+    # through the module, once per frame, with four positional arguments
+    calls = []
+    real = gt_decode.prune
+
+    def recording(*args, **kwargs):
+        kept = real(*args, **kwargs)
+        calls.append((args, kwargs, kept))
+        return kept
+
+    monkeypatch.setattr(gt_decode, "prune", recording)
+    provider, lm = fused_case(0)
+    assert beam_search(provider, FUSED, lm) == PINNED[0][2:]
+    assert len(calls) == provider.num_frames
+    for args, kwargs, kept in calls:
+        assert len(args) == 4 and not kwargs
+        hyps, scores, max_hyps, theta2 = args
+        assert (max_hyps, theta2) == (FUSED.beam_size, FUSED.theta2)
+        assert len(hyps) == len(scores) >= len(kept) >= 1
+        assert all(0 <= j < len(scores) for j in kept)
+
+
+# The search that keyed its ranked prefixes by tuple and scored every
+# record after expansion, kept here as the reference the search must
+# equal bit for bit.
+
+
+def reference_prune(hyps, scores, max_hyps, theta2):
+    ranked = sorted(hyps, key=lambda h: (-scores[h], h))
+    kept = ranked[:max_hyps]
+    if not kept:
+        return kept
+    floor = scores[kept[0]] - theta2
+    return [h for h in kept if scores[h] >= floor]
+
+
+class ReferenceFrameRows(dict):
+    def __init__(self, frame, log_theta1):
+        super().__init__()
+        self._frame, self._floor = frame, log_theta1
+
+    def __missing__(self, state):
+        lp = self._frame[state].tolist()
+        self[state] = found = (lp, [k for k in range(1, len(lp)) if lp[k] > self._floor])
+        return found
+
+
+def reference_beam_search(provider, cfg, lm=None):
+    if lm is None:
+        lm = UniformLm()
+    vocab = provider.vocab_size
+    extension_row, state_of = lm.extension_row, provider.state
+    weight, bonus, max_hyps = cfg.lm_weight, cfg.insertion_bonus, cfg.beam_size
+    log_theta1 = math.log(cfg.theta1) if cfg.theta1 > 0.0 else -math.inf
+    bonus_at = [bonus * math.log(n) if n else 0.0 for n in range(provider.num_frames + 1)]
+    prev = {0: [0.0, -math.inf, 0.0, 0.0, 0, (), None]}
+    beam = {0: ()}
+    for frame in provider.logprobs:
+        rows = ReferenceFrameRows(frame, log_theta1)
+        cur = {}
+        for key, prefix in beam.items():
+            p_b, p_nb, lm_score, total, n = prev[key][:5]
+            last = prefix[-1] if n else 0
+            lp, labels = rows[state_of(n, last)]
+            own = lp[last] + p_nb if n else -math.inf
+            cur[key] = [lp[0] + total, own, lm_score, None, n, prefix, None]
+            base, lm_row = key * vocab, None
+            for k in labels:
+                child = base + k
+                gain = lp[k] + (p_b if k == last else total)
+                earlier = prev.get(child)
+                if earlier is None:
+                    if lm_row is None:
+                        lm_row = extension_row(prefix)
+                    cur[child] = [-math.inf, gain, lm_score + lm_row[k], None, n + 1, prefix, k]
+                    continue
+                rec = cur.get(child)
+                if rec is not None:
+                    rec[1] = _log_add(rec[1], gain)
+                else:
+                    lp_child = rows[state_of(n + 1, k)][0]
+                    cur[child] = [lp_child[0] + earlier[3],
+                                  _log_add(gain, lp_child[k] + earlier[1]),
+                                  earlier[2], None, n + 1, prefix, k]
+        scores = []
+        for rec in cur.values():
+            p_b = rec[0]
+            rec[3] = mass = rec[1] if p_b == -math.inf else _log_add(p_b, rec[1])
+            score = mass + weight * rec[2]
+            if bonus != 0.0 and rec[4]:
+                score += bonus_at[rec[4]]
+            scores.append(score)
+        cut = sorted(scores, reverse=True)[max_hyps - 1] if len(scores) > max_hyps else -math.inf
+        ranked, keys = {}, {}
+        for (key, rec), score in zip(cur.items(), scores):
+            if score >= cut:
+                if rec[6] is not None:
+                    rec[5], rec[6] = rec[5] + (rec[6],), None
+                ranked[rec[5]] = score
+                keys[rec[5]] = key
+        kept = reference_prune(ranked, ranked, max_hyps, cfg.theta2)
+        beam = {keys[prefix]: prefix for prefix in sorted(kept, key=len, reverse=True)}
+        prev = cur
+    return kept[0], ranked[kept[0]]
+
+
+@st.composite
+def search_cases(draw):
+    """Peaky normal logits, tied integer logits (so P cuts through equal
+    scores) or a toy model's posteriors, with an LM of order 1-3 or none,
+    and settings where theta1, theta2, P and the bonus each act or not."""
+    kind = draw(st.sampled_from(["normal", "tied", "model"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    vocab, frames = draw(st.integers(2, 6)), draw(st.integers(1, 16))
+    if kind == "model":
+        features = rng.normal(0.0, 3.0, (frames, 3))
+        provider = ModelPosteriors(ToyModel(3, 8, vocab, seed=int(rng.integers(100))), features)
+    elif kind == "tied":
+        row = rng.integers(-1, 2, (frames, 1, vocab)).astype(float)
+        provider = TensorPosteriors(PosteriorTensor(np.tile(row, (1, frames + 1, 1))))
+    else:
+        logits = rng.normal(0.0, 1.0, (frames, frames + 1, vocab))
+        logits[np.arange(frames), :, rng.integers(0, vocab, frames)] += 3.0
+        provider = TensorPosteriors(PosteriorTensor(logits))
+    order = draw(st.sampled_from([None, 1, 2, 3]))
+    lm = None
+    if order is not None:
+        history = [rng.integers(1, vocab, 8).tolist() for _ in range(6)]
+        lm = CountsLm(ngram_counts(history, order), vocab)
+    cfg = DecodeConfig(
+        beam_size=draw(st.integers(1, 6)),
+        theta1=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        theta2=draw(st.sampled_from([1.0, 3.0, math.inf])),
+        lm_weight=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        insertion_bonus=draw(st.sampled_from([0.0, 1.0, -0.7])),
+    )
+    return provider, cfg, lm
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(search_cases())
+def test_search_equals_the_tuple_keyed_reference_bit_for_bit(case):
+    provider, cfg, lm = case
+    got, want = beam_search(provider, cfg, lm), reference_beam_search(provider, cfg, lm)
+    assert got == want
+    assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
 
 
 # --- edit distance -------------------------------------------------------------
