@@ -13,7 +13,10 @@ utterances together: it concatenates their lattices into one graph, lays
 their tensors side by side on the state axis, and runs one frame loop
 and one gradient pass for the whole batch.  That loop fills logAlpha and
 logBeta together: it runs over the graph and its reverse as one graph of
-two disjoint parts.  :func:`loss_and_grad` is its call with one member.
+two disjoint parts.  It is the module's only frame loop:
+:func:`forward_vars`, :func:`backward_vars` and :func:`log_marginal` read
+their halves of its one table.  :func:`loss_and_grad` is the batch's call
+with one member.
 
 The entry points take any :class:`Lattice` that constructs; they do not
 run :func:`~graphtransducer.lattice.validate`, which governs
@@ -34,10 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import Lattice
-from .posteriors import PosteriorTensor, _logsumexp
+from .posteriors import _LOWEST, PosteriorTensor, _logsumexp
 
 NEG_INF = float("-inf")
-_LOWEST = -np.finfo(np.float64).max  # no finite float is lower
 
 
 class InfeasibleLengthError(ValueError):
@@ -68,24 +70,20 @@ class LossResult:
     grad: np.ndarray
 
 
-def _scatter_logsumexp(
-    values: np.ndarray, index: np.ndarray, size: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Grouped log-sum-exp: out[j] = logsumexp(values[index == j]), in the
-    idiom of :func:`~graphtransducer.posteriors._logsumexp`.  Each group's
-    peak is shifted out first.  Peaks start at ``_LOWEST``, not -inf, so a
-    group with a finite entry gets its own maximum and no shift computes
-    -inf - -inf.  An empty or all -inf group sums to 0; its log is not
-    taken, so its entry keeps the -inf that ``out`` holds (``out``, when
-    given, must hold -inf), with no floating-point warning.
-    ``np.bincount`` adds each group's terms in index order, as
-    ``np.add.at`` does."""
-    peak = np.full(size, _LOWEST)
+def _scatter_logsumexp(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Grouped log-sum-exp into ``out``, which must hold -inf and whose
+    size is the number of groups: out[j] = logsumexp(values[index == j]),
+    in the idiom of :func:`~graphtransducer.posteriors._logsumexp`.  Each
+    group's peak is shifted out first.  Peaks start at ``_LOWEST``, not
+    -inf, so a group with a finite entry gets its own maximum and no shift
+    computes -inf - -inf.  An empty or all -inf group sums to 0; its log is
+    not taken, so its entry keeps the -inf that ``out`` holds, with no
+    floating-point warning.  ``np.bincount`` adds each group's terms in
+    index order, as ``np.add.at`` does."""
+    peak = np.full(out.size, _LOWEST)
     np.maximum.at(peak, index, values)
     shifted = np.subtract(values, peak[index])
-    total = np.bincount(index, np.exp(shifted, out=shifted), size)
-    if out is None:
-        out = np.full(size, NEG_INF)
+    total = np.bincount(index, np.exp(shifted, out=shifted), out.size)
     np.log(total, out=out, where=total > 0.0)
     out += peak
     return out
@@ -221,33 +219,32 @@ def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]):
     return stack, scores, logits, lse
 
 
-def _sweep(stack: _Stack, scores: np.ndarray, backward: bool = True) -> np.ndarray:
-    """The frame recursion over the stack, in one loop of T frames.
+def _sweep(stack: _Stack, scores: np.ndarray) -> np.ndarray:
+    """The module's one frame recursion over the stack, in one loop of T
+    frames, filling logAlpha and logBeta together.
 
-    With ``backward``, the lattices and their reverses run as one graph of
-    two disjoint parts: node g of the reverse is node N + g, the edges are
-    gathered at ``[src, dst + N]`` and grouped by ``[dst, src + N]``, and
-    row s of the (T + 1, 2N) table holds [logAlpha[s], logBeta[T - s]].
-    Frame s adds scores[s - 1] to the first E gathered values and
-    scores[T - s] to the rest, in place.  A member's terminal weights go
-    into the logBeta half at row T - T_b, before the step that reads it;
-    past its T_b a member reads -inf scores, so those rows hold -inf.
-    The last frame also fills logBeta row 0, which the recursion leaves
-    out (it ends at row 1), so that row is reset to -inf.  Each frame is
-    one :func:`_scatter_logsumexp` over both parts, whose groups are
-    disjoint, so every cell comes out as a loop of its own direction
-    would give it.  Without ``backward``, the table is logAlpha alone, of
-    shape (T + 1, N)."""
+    The lattices and their reverses run as one graph of two disjoint
+    parts: node g of the reverse is node N + g, the edges are gathered at
+    ``[src, dst + N]`` and grouped by ``[dst, src + N]``, and row s of the
+    (T + 1, 2N) table holds [logAlpha[s], logBeta[T - s]].  Frame s adds
+    scores[s - 1] to the first E gathered values and scores[T - s] to the
+    rest, in place.  A member's terminal weights go into the logBeta half
+    at row T - T_b, before the step that reads it; past its T_b a member
+    reads -inf scores, so those rows hold -inf.  The last frame also fills
+    logBeta row 0, which the recursion leaves out (it ends at row 1), so
+    that row is reset to -inf.  Each frame is one
+    :func:`_scatter_logsumexp` over both parts, whose groups are disjoint,
+    so every cell comes out as a loop of its own direction would give it.
+    :func:`forward_vars`, :func:`backward_vars` and :func:`log_marginal`
+    read their halves of this one table."""
     frames, nodes, edges = len(scores), stack.nodes[-1], stack.src.size
-    gather, scatter, size, seeds = stack.src, stack.dst, nodes, {}
-    if backward:
-        gather = np.concatenate([stack.src, stack.dst + nodes])
-        scatter = np.concatenate([stack.dst, stack.src + nodes])
-        size = 2 * nodes
-        for t in set(stack.frames):
-            ends = stack.final_frames == t
-            seeds[frames - t] = nodes + stack.final_src[ends], stack.final_weight[ends]
-    table = np.full((frames + 1, size), NEG_INF)
+    gather = np.concatenate([stack.src, stack.dst + nodes])
+    scatter = np.concatenate([stack.dst, stack.src + nodes])
+    seeds = {}
+    for t in set(stack.frames):
+        ends = stack.final_frames == t
+        seeds[frames - t] = nodes + stack.final_src[ends], stack.final_weight[ends]
+    table = np.full((frames + 1, 2 * nodes), NEG_INF)
     table[0, stack.start] = 0.0
     for s, (ahead, behind) in enumerate(zip(scores, scores[::-1]), start=1):
         if s - 1 in seeds:
@@ -255,11 +252,9 @@ def _sweep(stack: _Stack, scores: np.ndarray, backward: bool = True) -> np.ndarr
             table[s - 1, columns] = weights
         values = table[s - 1].take(gather)
         values[:edges] += ahead
-        if backward:
-            values[edges:] += behind
-        _scatter_logsumexp(values, scatter, size, out=table[s])
-    if backward:
-        table[frames, nodes:] = NEG_INF
+        values[edges:] += behind
+        _scatter_logsumexp(values, scatter, out=table[s])
+    table[frames, nodes:] = NEG_INF
     return table
 
 
@@ -275,9 +270,11 @@ def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     -inf logBeta, so it adds nothing to a marginal or an occupancy.
 
     Too small a T is not an error here; the marginal simply comes out as
-    -inf and the loss entry point reports infeasibility.
+    -inf and the loss entry point reports infeasibility.  It comes from
+    the loop that fills logBeta too (:func:`_sweep`), and is the logAlpha
+    half of that joint table as a view.
     """
-    return _sweep(*_stacked([(lat, post)])[:2], backward=False)
+    return _sweep(*_stacked([(lat, post)])[:2])[:, :lat.num_nodes]
 
 
 def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
@@ -315,9 +312,10 @@ def marginal(
 def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     """Log of the total alignment probability; raises
     :class:`InfeasibleLengthError` when it is -inf, that is when no
-    alignment of length T exists or every one crosses a zero-weight edge."""
+    alignment of length T exists or every one crosses a zero-weight edge.
+    It is read from the logAlpha half of the joint table (:func:`_sweep`)."""
     stack, scores, _, _ = _stacked([(lat, post)])
-    (outcome,) = _log_marginals([lat], stack, _sweep(stack, scores, backward=False))
+    (outcome,) = _log_marginals([lat], stack, _sweep(stack, scores))
     if isinstance(outcome, InfeasibleLengthError):
         raise outcome
     return outcome
@@ -328,7 +326,9 @@ def _log_marginals(
 ) -> list[float | InfeasibleLengthError]:
     """Each member's log marginal, the log-sum-exp over its end edges of
     logAlpha row T_b plus the terminal weight, or the
-    :class:`InfeasibleLengthError` for a -inf one.  One gather reads every
+    :class:`InfeasibleLengthError` for a -inf one.  ``alpha`` may be the
+    whole joint table of :func:`_sweep`: end-edge sources are nodes below
+    N, so only its logAlpha columns are read.  One gather reads every
     end edge; members with the same end-edge count share one
     :func:`_logsumexp` over the rows of a (members, count) array."""
     ends = alpha[stack.final_frames, stack.final_src] + stack.final_weight

@@ -14,6 +14,7 @@ TENSOR_MAGIC = b"GTCT"
 TENSOR_VERSION = 1
 
 NEG_INF = float("-inf")
+_LOWEST = -np.finfo(np.float64).max  # no finite float is lower
 
 # bytes of logits per block of frames in the constructor's normalizer pass
 _BLOCK_BYTES = 512 * 1024
@@ -25,11 +26,12 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) over the last axis, which is kept with length 1.
 
     The row peak is shifted out first, so large magnitudes neither
-    overflow nor underflow; a row that is empty or all -inf gives -inf
+    overflow nor underflow.  Peaks start at ``_LOWEST``, not -inf, so a
+    row with a finite entry gets its own maximum and no shift computes
+    -inf - -inf; a row that is empty or all -inf sums to 0 and gives -inf
     without a floating-point warning.
     """
-    peak = np.max(x, axis=-1, keepdims=True, initial=NEG_INF)
-    peak[peak == NEG_INF] = 0.0  # exp(-inf - -inf) would be NaN
+    peak = np.max(x, axis=-1, keepdims=True, initial=_LOWEST)
     shifted = np.subtract(x, peak)
     total = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
     return peak + np.log(total, out=np.full_like(total, NEG_INF), where=total > 0.0)

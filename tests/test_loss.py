@@ -515,10 +515,38 @@ def test_the_joint_sweep_equals_one_sweep_per_direction_bit_for_bit(batch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         table = _sweep(stack, scores)
-        alone = _sweep(stack, scores, backward=False)
     nodes = stack.nodes[-1]
-    assert np.array_equal(table[:, :nodes], alpha) and np.array_equal(alone, alpha)
+    assert np.array_equal(table[:, :nodes], alpha)
     assert np.array_equal(table[::-1, nodes:], beta)
+
+
+@st.composite
+def single_members(draw):
+    """One (lattice, posteriors) pair: a member of :func:`sweep_batches`, or
+    a feasible ``random_case`` of either topology."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(draw(sweep_batches())))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_case(rng, draw(st.sampled_from(TOPOLOGIES)), 8, 4, 4)[:2]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(single_members())
+def test_the_public_tables_and_marginal_equal_one_sweep_per_direction_bit_for_bit(pair):
+    lat, post = pair
+    alpha, beta = per_direction_tables(*_stacked([pair])[:2])
+    assert np.array_equal(forward_vars(lat, post), alpha)
+    assert np.array_equal(backward_vars(lat, post), beta)
+    want = float(_logsumexp(alpha[-1, lat.final.src] + lat.final.log_weight)[0])
+    if want == NEG_INF:
+        with pytest.raises(InfeasibleLengthError) as info:
+            log_marginal(lat, post)
+        with pytest.raises(InfeasibleLengthError) as loss_info:
+            loss_and_grad(lat, post)
+        got, expected = info.value, loss_info.value
+        assert (got.frames, got.min_frames) == (expected.frames, expected.min_frames)
+    else:
+        assert log_marginal(lat, post) == want == loss_and_grad(lat, post).log_marginal
 
 
 def traced_peak(call):
@@ -665,7 +693,7 @@ def test_scatter_logsumexp_matches_the_dense_sum_of_each_group():
         values[np.isin(index, list(dead))] = NEG_INF
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _scatter_logsumexp(values, index, len(sizes))
+            out = _scatter_logsumexp(values, index, out=np.full(len(sizes), NEG_INF))
         for group, size in enumerate(sizes):
             want = _logsumexp(values[index == group])[0]
             if group in dead or size == 0:
@@ -678,7 +706,7 @@ def test_scatter_logsumexp_matches_the_dense_sum_of_each_group():
                 assert abs(out[group] - want) <= 1e-15 * max(1.0, abs(want))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        empty = _scatter_logsumexp(np.empty(0), np.empty(0, dtype=np.int64), 3)
+        empty = _scatter_logsumexp(np.empty(0), np.empty(0, dtype=np.int64), out=np.full(3, NEG_INF))
     assert empty.tolist() == [NEG_INF] * 3
 
 

@@ -1,5 +1,6 @@
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,33 @@ def test_blocked_normalizer_equals_dense_bit_for_bit(frames, states, vocab):
     assert post.lse.shape == (frames, states, 1)
     assert np.array_equal(post.lse, dense)
     assert np.array_equal(post.logprobs, logits - dense)
+
+
+def _logsumexp_with_zeroed_peaks(x):
+    # the earlier form: peaks start at -inf, and a -inf peak is set to 0 after the max
+    peak = np.max(x, axis=-1, keepdims=True, initial=-np.inf)
+    peak[peak == -np.inf] = 0.0
+    shifted = np.subtract(x, peak)
+    total = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
+    return peak + np.log(total, out=np.full_like(total, -np.inf), where=total > 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+def test_lowest_peaks_equal_zeroed_neg_inf_peaks_bit_for_bit(scale):
+    # rows all -inf, partly -inf and finite; then an empty last axis and 1-D rows
+    rng = np.random.default_rng(36)
+    rows = rng.normal(0, scale, (3, 40, 7))
+    rows[0] = -np.inf
+    rows[1][rng.random((40, 7)) < 0.5] = -np.inf
+    cases = [rows, np.empty((4, 0)), np.empty(0), rows[2, 0], rows[1].ravel(), np.full(3, -np.inf)]
+    for x in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, want = _logsumexp(x), _logsumexp_with_zeroed_peaks(x)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.all(_logsumexp(rows[0]) == -np.inf)
+    assert np.all(_logsumexp(np.empty((4, 0))) == -np.inf) and _logsumexp(np.empty(0))[0] == -np.inf
+    assert np.array_equal(np.isfinite(_logsumexp(rows[1]))[:, 0], np.isfinite(rows[1]).any(axis=-1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
