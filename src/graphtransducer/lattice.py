@@ -16,7 +16,10 @@ Two built-in topologies are provided for a label sequence ``y``:
 Both share one node layout for U labels: start is node 0, the blank after
 u labels is node 2u + 1, label u is node 2u, and end is node 2U + 2.  So
 the decoder state of a built-in edge, the number of labels consumed at its
-source, is ``src // 2``.
+source, is ``src // 2``.  One builder, :func:`_build_stack`, writes that
+layout for a whole batch of label sequences as one graph of disjoint
+parts, which a training step scores; :func:`build_lattice` is its
+one-member case.
 """
 
 from __future__ import annotations
@@ -148,6 +151,36 @@ class Edge:
                 raise ValueError(f"edge {self.src}->{self.dst} has negative decoder state {self.state}")
 
 
+def _check_kind(kind) -> None:
+    if kind not in TOPOLOGIES:
+        raise InvalidSpecError(f"unknown topology kind {kind!r}; expected one of {TOPOLOGIES}")
+
+
+def _checked_labels(labels, vocab_size: int | None = None) -> tuple[int, ...]:
+    """``labels`` as a tuple of ints, or :class:`InvalidSpecError` unless it
+    is a sequence of integers (a bool is not one), none of them the blank,
+    negative or too large for int64, and, when ``vocab_size`` is given,
+    each below it.  The checks of :class:`TopologySpec` and of the toy
+    model's label sequences."""
+    try:
+        labels = tuple(labels)
+    except TypeError:
+        raise InvalidSpecError(f"labels must be a sequence of label ids; got {labels!r}") from None
+    if not all(map(_is_int, labels)):
+        raise InvalidSpecError(f"label ids must be integers; got {labels!r}")
+    labels = tuple(map(int, labels))
+    for k in labels:
+        if k == BLANK:
+            raise InvalidSpecError("blank (label 0) is not allowed in a label sequence")
+        if k < 0:
+            raise InvalidSpecError(f"negative label id {k}")
+        if k > _MAX_INT64:
+            raise InvalidSpecError(f"label id {k} does not fit a 64-bit integer")
+    if vocab_size is not None and labels and max(labels) >= vocab_size:
+        raise InvalidSpecError(f"label {max(labels)} out of range for vocab_size {vocab_size}")
+    return labels
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """Which topology to build and for which (blank-free) label sequence.
@@ -162,34 +195,14 @@ class TopologySpec:
     vocab_size: int | None = None
 
     def __post_init__(self):
-        try:
-            labels = tuple(self.labels)
-        except TypeError:
-            raise InvalidSpecError(f"labels must be a sequence of label ids; got {self.labels!r}") from None
-        if not all(map(_is_int, labels)):
-            raise InvalidSpecError(f"label ids must be integers; got {labels!r}")
-        object.__setattr__(self, "labels", tuple(map(int, labels)))
-        if self.kind not in TOPOLOGIES:
-            raise InvalidSpecError(
-                f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGIES}"
-            )
-        for k in self.labels:
-            if k == BLANK:
-                raise InvalidSpecError("blank (label 0) is not allowed in a label sequence")
-            if k < 0:
-                raise InvalidSpecError(f"negative label id {k}")
-            if k > _MAX_INT64:
-                raise InvalidSpecError(f"label id {k} does not fit a 64-bit integer")
+        _check_kind(self.kind)
         if self.vocab_size is not None:
             if not _is_int(self.vocab_size) or self.vocab_size < 1:
                 raise InvalidSpecError(
                     f"vocab_size must be at least 1 (the blank label), as an integer; got {self.vocab_size!r}"
                 )
             object.__setattr__(self, "vocab_size", int(self.vocab_size))
-            if self.labels and max(self.labels) >= self.vocab_size:
-                raise InvalidSpecError(
-                    f"label {max(self.labels)} out of range for vocab_size {self.vocab_size}"
-                )
+        object.__setattr__(self, "labels", _checked_labels(self.labels, self.vocab_size))
 
     def resolved_vocab(self) -> int:
         if self.vocab_size is not None:
@@ -347,8 +360,14 @@ class Lattice:
     @cached_property
     def _fewest_emissions(self) -> int | None:
         """:attr:`min_emissions`, or None when the end node is unreachable."""
-        dist = _bfs_layers(zip(self.emit.src.tolist(), self.emit.dst.tolist()), self.start_id)
-        return min((dist[s] for s in self.final.src.tolist() if s in dist), default=None)
+        return _fewest_emissions_from(self.start_id, self.emit.src, self.emit.dst, self.final.src)
+
+
+def _fewest_emissions_from(start: int, src: np.ndarray, dst: np.ndarray, final_src: np.ndarray) -> int | None:
+    """Fewest emitting edges ``src`` -> ``dst`` on a path from node ``start``
+    to a node in ``final_src``, or None when no such path exists."""
+    dist = _bfs_layers(zip(src.tolist(), dst.tolist()), start)
+    return min((dist[s] for s in final_src.tolist() if s in dist), default=None)
 
 
 def _bfs_layers(arcs, source: int) -> dict[int, int]:
@@ -401,29 +420,120 @@ def build_lattice(spec: TopologySpec) -> Lattice:
     from blank U carry none.  This edge order fixes the order in which the
     loss adds its grouped sums.
 
-    The families are written straight into the lattice's ``emit`` and
-    ``final`` arrays as numpy ranges; the ``nodes`` and ``edges`` objects
+    This is :func:`_build_stack` of the one label sequence, the one place
+    that writes this layout and order: its arrays become the lattice's
+    ``emit`` and ``final`` arrays, and the ``nodes`` and ``edges`` objects
     are made only if something reads them, so scoring a built lattice
     makes none.
     """
-    y = np.array(spec.labels, dtype=np.int64)
-    end = 2 * y.size + 2
-    label_ids = np.arange(2, end, 2)
-    blank_ids = np.arange(1, end, 2)
-    firsts = np.arange(1, 3 if y.size else 2)
-    loops = label_ids if spec.kind == CTC_LIKE else label_ids[:0]
-    skips = label_ids[:-1][y[:-1] != y[1:]] if spec.kind == CTC_LIKE else label_ids[:-1]
-    src = np.concatenate([np.zeros_like(firsts), blank_ids, loops, label_ids - 1, label_ids, skips])
-    dst = np.concatenate([firsts, blank_ids, loops, label_ids, label_ids + 1, skips + 2])
-    node_label = np.zeros(end + 1, dtype=np.int64)
-    node_label[label_ids] = y
-    finals = np.arange(end - 2 if y.size else end - 1, end)
+    stack = _build_stack(spec.kind, [spec.labels], [0])
     return Lattice._from_arrays(
-        end + 1,
-        EmitArrays(src, dst, src // 2, node_label[dst], np.zeros(src.size)),
-        EndArrays(finals, np.zeros(finals.size)),
-        num_states=y.size + 1,
+        int(stack.nodes[1]),
+        EmitArrays(stack.src, stack.dst, stack.column, stack.label, stack.log_weight),
+        EndArrays(stack.final_src, stack.final_weight),
+        num_states=len(spec.labels) + 1,
         vocab_size=spec.resolved_vocab(),
+    )
+
+
+class _Stack(NamedTuple):
+    """B lattices as one graph of disjoint parts, scored against B tensors
+    side by side on the state axis.  Member b's node g is node
+    ``nodes[b] + g``, its decoder state i is state column ``states[b] + i``,
+    its emitting edges are entries ``edges[b]:edges[b + 1]`` of ``src``,
+    ``dst``, ``column`` (the edge's state column), ``label`` and
+    ``log_weight``, its end edges are entries ``finals[b]:finals[b + 1]``
+    of ``final_src`` and ``final_weight``, and it runs ``frames[b]``
+    frames, which ``final_frames`` repeats for each end edge."""
+
+    frames: list[int]
+    nodes: np.ndarray
+    edges: np.ndarray
+    finals: np.ndarray
+    states: np.ndarray
+    start: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    column: np.ndarray
+    label: np.ndarray
+    log_weight: np.ndarray
+    final_src: np.ndarray
+    final_weight: np.ndarray
+    final_frames: np.ndarray
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _build_stack(kind: str, labels: list, frames: list[int]) -> _Stack:
+    """The lattices of topology ``kind`` over each label sequence in
+    ``labels``, a tuple or an int64 array of ids that passed the checks of
+    :class:`TopologySpec`, as one :class:`_Stack` whose member b runs
+    ``frames[b]`` frames and has U_b + 1 decoder states.
+
+    Each arc family of :func:`build_lattice` is written for every member
+    at once, in member order, and one stable sort by member then puts
+    each member's arcs in family order, so member b's arcs are those of
+    its own lattice in the same order.  No lattice or spec is made.
+    """
+    _check_kind(kind)
+    sizes = np.array([len(seq) for seq in labels], dtype=np.int64)
+    members = np.arange(sizes.size)
+    y = np.concatenate([np.asarray(seq, dtype=np.int64) for seq in labels])
+    nodes = _offsets(2 * sizes + 3)
+    starts = nodes[:-1]
+    # Member b's nodes start at nodes[b] = 2 * states[b] + b, and states[b]
+    # counts the labels and members before it.  So, counting from 0 over
+    # the batch, label i (of member b) is node 2i + 3b + 2 and blank j is
+    # node 2j + b + 1, and an arc's state column, states[b] plus its
+    # source's local id // 2, is (src - b) // 2.
+    of_label = np.repeat(members, sizes)
+    of_blank = np.repeat(members, sizes + 1)
+    label_node = 2 * np.arange(y.size) + 3 * of_label + 2
+    blank_node = 2 * np.arange(of_blank.size) + of_blank + 1
+    started = members[sizes > 0]
+    loops = label_node if kind == CTC_LIKE else label_node[:0]
+    # label i -> label i + 1 of the same member (ctc-like: a different label)
+    skips = of_label[1:] == of_label[:-1]
+    if kind == CTC_LIKE:
+        skips &= y[1:] != y[:-1]
+    skips = np.flatnonzero(skips)
+    # the families in order: start, blank loops, label loops, blank -> next
+    # label, label -> blank, label -> next label
+    member = np.concatenate([members, started, of_blank, of_label[:loops.size], of_label, of_label,
+                             of_label[skips]])
+    src = np.concatenate([starts, starts[started], blank_node, loops, label_node - 1, label_node,
+                          label_node[skips]])
+    dst = np.concatenate([starts + 1, starts[started] + 2, blank_node, loops, label_node, label_node + 1,
+                          label_node[skips + 1]])
+    # a stable sort by member, done as numpy's default sort (the one the
+    # loss's np.unique runs) of unique keys: the stable kind loads another
+    # sort routine, which raised a run's peak memory
+    order = np.argsort(member * member.size + np.arange(member.size))
+    member, src, dst = member[order], src[order], dst[order]
+    node_label = np.zeros(nodes[-1], dtype=np.int64)
+    node_label[label_node] = y
+    # the end edges leave label U (when U > 0) and then blank U, the nodes
+    # just before the member's end node nodes[b + 1] - 1
+    final_counts = 1 + (sizes > 0)
+    finals = _offsets(final_counts)
+    final_src = np.repeat(nodes[1:] - 1 - finals[1:], final_counts) + np.arange(finals[-1])
+    return _Stack(
+        frames,
+        nodes,
+        _offsets(np.bincount(member, minlength=sizes.size)),
+        finals,
+        _offsets(sizes + 1),
+        starts,
+        src,
+        dst,
+        (src - member) // 2,
+        node_label[dst],
+        np.zeros(src.size),
+        final_src,
+        np.zeros(final_src.size),
+        np.repeat(frames, final_counts),
     )
 
 

@@ -16,7 +16,10 @@ logBeta together: it runs over the graph and its reverse as one graph of
 two disjoint parts.  It is the module's only frame loop:
 :func:`forward_vars`, :func:`backward_vars` and :func:`log_marginal` read
 their halves of its one table.  :func:`loss_and_grad` is the batch's call
-with one member.
+with one member.  The batch's scoring core takes the concatenated graph
+itself, so a training step passes the graph that
+:func:`~graphtransducer.lattice._build_stack` writes from its label
+sequences, and makes no lattice.
 
 The entry points take any :class:`Lattice` that constructs; they do not
 run :func:`~graphtransducer.lattice.validate`, which governs
@@ -32,11 +35,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Lattice
+from .lattice import Lattice, _fewest_emissions_from, _Stack
 from .posteriors import _LOWEST, PosteriorTensor, _logsumexp
 
 NEG_INF = float("-inf")
@@ -101,32 +103,11 @@ def _group_columns(values: np.ndarray, group: np.ndarray, size: int) -> np.ndarr
     return out
 
 
-class _Stack(NamedTuple):
-    """B lattices as one graph of disjoint parts, scored against B tensors
-    side by side on the state axis.  Member b's node g is node
-    ``nodes[b] + g``, its decoder state i is state column ``states[b] + i``,
-    its emitting edges are entries ``edges[b]:edges[b + 1]`` of ``src``,
-    ``dst``, ``column`` (the edge's state column), ``label`` and
-    ``log_weight``, and it runs ``frames[b]`` frames.  The end edges of all
-    members sit in ``final_src``/``final_weight``, each with its member's
-    frame count in ``final_frames``."""
-
-    frames: list[int]
-    nodes: np.ndarray
-    edges: np.ndarray
-    states: np.ndarray
-    start: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
-    column: np.ndarray
-    label: np.ndarray
-    log_weight: np.ndarray
-    final_src: np.ndarray
-    final_weight: np.ndarray
-    final_frames: np.ndarray
-
-
 def _stack(pairs: list[tuple[Lattice, PosteriorTensor]]) -> _Stack:
+    """The pairs' lattices as one :class:`_Stack`, with the frame and state
+    counts of their tensors; any lattice that constructs.  For the built-in
+    topologies :func:`~graphtransducer.lattice._build_stack` writes the
+    same stack from the label sequences alone."""
     lats = [lat for lat, _ in pairs]
     frames = [post.num_frames for _, post in pairs]
     emits = [lat.emit for lat in lats]
@@ -140,6 +121,7 @@ def _stack(pairs: list[tuple[Lattice, PosteriorTensor]]) -> _Stack:
         frames,
         nodes,
         np.cumsum([0] + counts),
+        np.cumsum([0] + final_counts),
         states,
         nodes[:-1] + [lat.start_id for lat in lats],
         np.concatenate([em.src for em in emits]) + node_base,
@@ -206,17 +188,20 @@ def _edge_scores(
     return scores
 
 
-def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]):
-    """The members' lattices as one :class:`_Stack`, their tensors as
-    :func:`_packed` lays them out, and their edge scores from one
-    :func:`_edge_scores` gather, in one (max T_b, total E) array that holds
-    -inf past each member's own T_b."""
-    stack = _stack(pairs)
-    posts = [post for _, post in pairs]
+def _scored(stack: _Stack, posts: list[PosteriorTensor]):
+    """The tensors as :func:`_packed` lays them out, and the stack's edge
+    scores from one :func:`_edge_scores` gather, in one (max T_b, total E)
+    array that holds -inf past each member's own T_b."""
     logits, lse = _packed(posts, stack.states)
     scores = _edge_scores(stack, posts, logits, lse)
     scores[np.arange(len(scores))[:, None] >= np.repeat(stack.frames, np.diff(stack.edges))] = NEG_INF
-    return stack, scores, logits, lse
+    return scores, logits, lse
+
+
+def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]):
+    """The pairs as one :class:`_Stack`, and what :func:`_scored` makes of it."""
+    stack = _stack(pairs)
+    return (stack, *_scored(stack, [post for _, post in pairs]))
 
 
 def _sweep(stack: _Stack, scores: np.ndarray) -> np.ndarray:
@@ -315,33 +300,35 @@ def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     alignment of length T exists or every one crosses a zero-weight edge.
     It is read from the logAlpha half of the joint table (:func:`_sweep`)."""
     stack, scores, _, _ = _stacked([(lat, post)])
-    (outcome,) = _log_marginals([lat], stack, _sweep(stack, scores))
+    (outcome,) = _log_marginals(stack, _sweep(stack, scores))
     if isinstance(outcome, InfeasibleLengthError):
         raise outcome
     return outcome
 
 
-def _log_marginals(
-    lats: list[Lattice], stack: _Stack, alpha: np.ndarray
-) -> list[float | InfeasibleLengthError]:
+def _log_marginals(stack: _Stack, alpha: np.ndarray) -> list[float | InfeasibleLengthError]:
     """Each member's log marginal, the log-sum-exp over its end edges of
     logAlpha row T_b plus the terminal weight, or the
-    :class:`InfeasibleLengthError` for a -inf one.  ``alpha`` may be the
-    whole joint table of :func:`_sweep`: end-edge sources are nodes below
-    N, so only its logAlpha columns are read.  One gather reads every
-    end edge; members with the same end-edge count share one
-    :func:`_logsumexp` over the rows of a (members, count) array."""
+    :class:`InfeasibleLengthError` for a -inf one, whose ``min_frames``
+    comes from a breadth-first search over the member's edges in the
+    stack.  ``alpha`` may be the whole joint table of :func:`_sweep`:
+    end-edge sources are nodes below N, so only its logAlpha columns are
+    read.  One gather reads every end edge; members with the same end-edge
+    count share one :func:`_logsumexp` over the rows of a (members, count)
+    array."""
     ends = alpha[stack.final_frames, stack.final_src] + stack.final_weight
-    counts = [lat.final.src.size for lat in lats]
-    first = np.cumsum([0] + counts[:-1])
-    logp = np.empty(len(lats))
-    for count in set(counts):
-        members = [b for b, c in enumerate(counts) if c == count]
-        logp[members] = _logsumexp(ends[first[members][:, None] + np.arange(count)])[:, 0]
-    return [
-        InfeasibleLengthError(frames, lat._fewest_emissions) if value == NEG_INF else float(value)
-        for lat, frames, value in zip(lats, stack.frames, logp)
-    ]
+    counts = np.diff(stack.finals)
+    logp = np.empty(counts.size)
+    for count in set(counts.tolist()):
+        members = np.flatnonzero(counts == count)
+        logp[members] = _logsumexp(ends[stack.finals[members][:, None] + np.arange(count)])[:, 0]
+    outcomes: list[float | InfeasibleLengthError] = logp.tolist()
+    for b in np.flatnonzero(logp == NEG_INF).tolist():
+        edges, finals = slice(*stack.edges[b:b + 2]), slice(*stack.finals[b:b + 2])
+        fewest = _fewest_emissions_from(int(stack.start[b]), stack.src[edges], stack.dst[edges],
+                                        stack.final_src[finals])
+        outcomes[b] = InfeasibleLengthError(stack.frames[b], fewest)
+    return outcomes
 
 
 def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
@@ -384,37 +371,52 @@ def batch_loss_and_grad(
     A member whose marginal is -inf comes back as the
     :class:`InfeasibleLengthError` that :func:`loss_and_grad` would raise;
     any other error raises for the batch.  The lattices are concatenated
-    with node offsets, as one graph of disjoint parts, and the tensors lie
-    side by side on the state axis, left-aligned in time: member b takes
-    state columns states[b]:states[b + 1] and frames :T_b of one
-    (max T_b, total S_b, V) layout.  A batch of one pack's members in column
-    order (:meth:`PosteriorTensor.member`, as
-    :func:`~graphtransducer.model.train_step` makes them) is read in the
-    pack's arrays, a lone tensor as it is, and any other batch is copied
-    into that layout.  One gather reads every edge score into one
-    (max T_b, total E) array, -inf past each member's own T_b.  One frame
-    loop fills logAlpha and logBeta for every member (:func:`_sweep`): each
-    member reads its log marginal from logAlpha row T_b, and the loop
-    writes the member's terminal weights into logBeta row T_b before it
-    reads that row.  The log marginals come from one gather of logAlpha at
-    every member's end edges and one log-sum-exp per distinct end-edge
-    count.  Every member goes through the occupancy pass; an infeasible
-    member's log P is taken as +inf there, so its occupancies come out
-    exactly 0, never NaN.  The occupancies are grouped once over
-    (state column, label) keys, and one exp(logits - lse) over the layout,
-    scaled in place, gives every gradient; a member's ``grad`` is the view
-    [:T_b, states[b]:states[b + 1], :V_b] of it, so keeping one keeps the
-    batch's buffer alive.  Each member's result equals its own
+    with node offsets into one :class:`_Stack`, a graph of disjoint parts
+    (:func:`_stack`), which :func:`_stack_loss_and_grad` scores against the
+    tensors.  A batch of one pack's members in column order
+    (:meth:`PosteriorTensor.member`) is read in the pack's arrays, a lone
+    tensor as it is, and any other batch is copied into one layout.  A
+    member's ``grad`` is a view of the batch's gradient buffer, so keeping
+    one keeps that buffer alive.  Each member's result equals its own
     :func:`loss_and_grad` bit for bit: every cell goes through the same
     floating-point operations in the same order.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    stack, scores, logits, lse = _stacked(pairs)
+    return _stack_loss_and_grad(_stack(pairs), [post for _, post in pairs])
+
+
+def _stack_loss_and_grad(
+    stack: _Stack, posts: list[PosteriorTensor]
+) -> list[LossResult | InfeasibleLengthError]:
+    """:func:`batch_loss_and_grad` of the stack's members against
+    ``posts``, one tensor per member with ``stack.frames[b]`` frames and
+    ``states[b + 1] - states[b]`` decoder states;
+    :func:`~graphtransducer.model.train_step` passes the stack that
+    :func:`~graphtransducer.lattice._build_stack` writes from its labels.
+
+    The tensors lie side by side on the state axis, left-aligned in time:
+    member b takes state columns states[b]:states[b + 1] and frames :T_b
+    of one (max T_b, total S_b, V) layout (:func:`_packed`).  One gather
+    reads every edge score into one (max T_b, total E) array, -inf past
+    each member's own T_b.  One frame loop fills logAlpha and logBeta for
+    every member (:func:`_sweep`): each member reads its log marginal from
+    logAlpha row T_b, and the loop writes the member's terminal weights
+    into logBeta row T_b before it reads that row.  The log marginals come
+    from one gather of logAlpha at every member's end edges and one
+    log-sum-exp per distinct end-edge count.  Every member goes through
+    the occupancy pass; an infeasible member's log P is taken as +inf
+    there, so its occupancies come out exactly 0, never NaN.  The
+    occupancies are grouped once over (state column, label) keys, and one
+    exp(logits - lse) over the layout, scaled in place, gives every
+    gradient; a member's ``grad`` is the view
+    [:T_b, states[b]:states[b + 1], :V_b] of it.
+    """
+    scores, logits, lse = _scored(stack, posts)
     table = _sweep(stack, scores)
     alpha, beta = table[:, :stack.nodes[-1]], table[::-1, stack.nodes[-1]:]
-    outcomes: list = _log_marginals([lat for lat, _ in pairs], stack, alpha)
+    outcomes: list = _log_marginals(stack, alpha)
 
     # the scores become occ[t - 1, e] in place; alpha - log P goes in before beta
     logp = [outcome if isinstance(outcome, float) else np.inf for outcome in outcomes]
@@ -436,7 +438,7 @@ def batch_loss_and_grad(
     np.exp(grad, out=grad)
     grad *= occ_state[:, :, None]
     grad[:, pair_column, pair_label] -= occ_pair
-    for b, (_, post) in enumerate(pairs):
+    for b, post in enumerate(posts):
         if isinstance(outcomes[b], float):
             member = grad[:post.num_frames, stack.states[b]:stack.states[b + 1], :post.vocab_size]
             outcomes[b] = LossResult(loss=-outcomes[b], log_marginal=outcomes[b], grad=member)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import TopologySpec, _is_int, _to_float, build_lattice
-from .loss import InfeasibleLengthError, batch_loss_and_grad, log_marginal
+from .lattice import TopologySpec, _build_stack, _checked_labels, _is_int, _to_float, build_lattice
+from .loss import InfeasibleLengthError, _stack_loss_and_grad, log_marginal
 # unused here; kept as a module attribute because the train-toy benchmark's
 # traced run (benchmarks/workloads.py) wraps ``model.loss_and_grad``
 from .loss import loss_and_grad  # noqa: F401
@@ -73,14 +73,19 @@ def _state_embedding_indices(labels: tuple[int, ...]) -> np.ndarray:
 def _activations(model: ToyModel, utt: Utterance):
     """The features as a float64 (T, feat_dim) array, after checking their
     shape, each decoder state's embedding row and the joiner input
-    ``tanh(enc_w @ x_t + bias + embed[row])`` of shape (T, U + 1, hidden)."""
+    ``tanh(enc_w @ x_t + bias + embed[row])`` of shape (T, U + 1, hidden).
+    The labels are checked first, as :class:`TopologySpec` checks them
+    against the model's vocabulary, so a bad one raises
+    :class:`~graphtransducer.lattice.InvalidSpecError` before it indexes
+    ``embed``."""
+    labels = _checked_labels(utt.labels, model.vocab_size)
     feats = np.asarray(utt.features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != model.feat_dim:
         raise ValueError(
             f"features must have shape (T, {model.feat_dim}); got {feats.shape}"
         )
     pre = feats @ model.enc_w.T + model.bias
-    idx = _state_embedding_indices(utt.labels)
+    idx = _state_embedding_indices(labels)
     return feats, idx, np.tanh(pre[:, None, :] + model.embed[idx][None, :, :])
 
 
@@ -132,11 +137,15 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     lays the logits side by side on the state axis of one zero-filled
     buffer, left-aligned in time: utterance b takes state columns
     ``states[b]:states[b + 1]`` and frames ``:T_b``, so one normalizer pass
-    serves the batch.  One :func:`batch_loss_and_grad` call scores the
-    members in that buffer and forms their gradients in one buffer of the
-    same layout; each member's gradient is a view of it, so keeping one
-    keeps the whole buffer alive.  The gradients are backpropagated and
-    summed per utterance in batch order.
+    serves the batch.  The batch's graph comes from one
+    :func:`~graphtransducer.lattice._build_stack` pass over the label
+    sequences, with no lattice or spec per utterance, and the loss core
+    that :func:`batch_loss_and_grad` runs scores the members in that
+    buffer and forms their gradients in one buffer of the same layout;
+    each member's gradient is a view of it, so keeping one keeps the whole
+    buffer alive.  The gradients are backpropagated and summed per
+    utterance in batch order.  A label that is not an integer in
+    1..vocab_size - 1 raises :class:`~graphtransducer.lattice.InvalidSpecError`.
     Utterances whose frame count cannot realize their labels under the
     topology are skipped with a warning rather than corrupting the step.
     """
@@ -144,10 +153,9 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
         raise ValueError("no feasible utterance in batch")
     acts = [_activations(model, utt) for utt in batch]
     posts = _packed_posteriors([act @ model.join_w.T for _, _, act in acts])
-    results = batch_loss_and_grad(
-        (build_lattice(TopologySpec(kind, utt.labels, model.vocab_size)), post)
-        for utt, post in zip(batch, posts)
-    )
+    # idx[1:] holds the utterance's checked labels as int64
+    stack = _build_stack(kind, [idx[1:] for _, idx, _ in acts], [len(feats) for feats, _, _ in acts])
+    results = _stack_loss_and_grad(stack, posts)
     losses = []
     total = {name: np.zeros_like(p) for name, p in model.params().items()}
     for i, (result, (feats, idx, act)) in enumerate(zip(results, acts)):

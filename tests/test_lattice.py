@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from graphtransducer import (
     to_dot,
     validate,
 )
+from graphtransducer.lattice import _build_stack
+from graphtransducer.loss import _stack
 
 label_seqs = st.lists(st.integers(min_value=1, max_value=5), max_size=6).map(tuple)
 
@@ -160,6 +163,35 @@ def test_array_builder_matches_object_builder():
         assert built == want and hash(built) == hash(want) and repr(built) == repr(want)
         assert serialize(built) == serialize(want)
         assert to_dot(built) == to_dot(want)
+
+
+@st.composite
+def label_batches(draw):
+    """A topology, a vocabulary and 1-12 label sequences of 0-8 labels,
+    which a vocabulary of 2 or 3 fills with adjacent repeats, each with
+    its own frame count."""
+    vocab = draw(st.integers(2, 5))
+    seqs = draw(st.lists(st.lists(st.integers(1, vocab - 1), max_size=8).map(tuple), min_size=1, max_size=12))
+    frames = draw(st.lists(st.integers(1, 20), min_size=len(seqs), max_size=len(seqs)))
+    return draw(st.sampled_from([CTC_LIKE, MONO_RNNT])), vocab, seqs, frames
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(label_batches())
+def test_batch_builder_equals_stacked_lattices_bit_for_bit(batch):
+    # what a training step scores, against one lattice per sequence
+    # stacked as the loss stacks any lattices; only the frame and state
+    # counts of a tensor are read there
+    kind, vocab, seqs, frames = batch
+    want = _stack([
+        (build_lattice(TopologySpec(kind, labels, vocab)), SimpleNamespace(num_frames=t, num_states=len(labels) + 1))
+        for labels, t in zip(seqs, frames)
+    ])
+    got = _build_stack(kind, list(seqs), frames)
+    assert got.frames == want.frames
+    for name in got._fields[1:]:
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def _no_objects(*args, **kwargs):

@@ -41,7 +41,7 @@ from graphtransducer import (
     train_step,
     validate,
 )
-from graphtransducer.loss import _scatter_logsumexp, _stacked, _sweep
+from graphtransducer.loss import _scatter_logsumexp, _stack_loss_and_grad, _stacked, _sweep
 from graphtransducer.model import _packed_posteriors
 from graphtransducer.oracle import log_softmax
 from graphtransducer.posteriors import _BLOCK_BYTES, _logsumexp
@@ -599,13 +599,12 @@ def test_a_training_steps_tensors_are_freed_without_the_cyclic_collector(monkeyp
         made.append(weakref.ref(pack))
         return pack
 
-    def scoring(pairs):
-        pairs = list(pairs)
-        scored.extend(weakref.ref(post) for _, post in pairs)
-        return batch_loss_and_grad(pairs)
+    def scoring(stack, posts):
+        scored.extend(weakref.ref(post) for post in posts)
+        return _stack_loss_and_grad(stack, posts)
 
     monkeypatch.setattr(gt_model, "PosteriorTensor", tracked)
-    monkeypatch.setattr(gt_model, "batch_loss_and_grad", scoring)
+    monkeypatch.setattr(gt_model, "_stack_loss_and_grad", scoring)
     model, data = ToyModel(6, 32, 6, seed=1), make_synthetic_task(1, 20, 6, 5)
     gc.disable()
     try:

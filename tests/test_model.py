@@ -1,18 +1,32 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graphtransducer.lattice as gt_lattice
+import graphtransducer.model as gt_model
 from graphtransducer import (
     CTC_LIKE,
     MONO_RNNT,
+    TOPOLOGIES,
+    InfeasibleLengthError,
+    InvalidSpecError,
+    Lattice,
     ModelPosteriors,
     PosteriorTensor,
+    TopologySpec,
     ToyModel,
     Utterance,
+    batch_loss_and_grad,
+    build_lattice,
     forward_logits,
     greedy_search,
     load_model,
+    loss_and_grad,
     make_synthetic_task,
     save_model,
     train_step,
@@ -168,6 +182,136 @@ def test_batch_of_only_infeasible_utterances_raises():
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="no feasible"):
             train_step(m, [short], CTC_LIKE)
+
+
+@pytest.mark.parametrize("labels", [(6,), (9,), (-1,), (0,), (True,), (2.0,), (1, 2**70)])
+def test_bad_labels_raise_the_spec_error_at_the_model_boundary(labels):
+    # before the check, a label >= V raised IndexError from the embedding,
+    # one >= 2**63 OverflowError, and -1 read the embedding's last row
+    with pytest.raises(InvalidSpecError) as spec:
+        TopologySpec(CTC_LIKE, labels, 6)
+    m = ToyModel(6, 8, 6, seed=3)
+    before = {name: p.copy() for name, p in m.params().items()}
+    bad = Utterance(np.zeros((5, 6)), labels)
+    calls = (
+        lambda: train_step(m, make_synthetic_task(14, 2, 6, 3) + [bad], CTC_LIKE),
+        lambda: forward_logits(m, bad),
+        lambda: utterance_loss(m, bad, MONO_RNNT),
+    )
+    for call in calls:
+        with pytest.raises(InvalidSpecError) as info:
+            call()
+        assert str(info.value) == str(spec.value)
+    for name, p in m.params().items():
+        assert np.array_equal(p, before[name])
+
+
+@pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
+def test_an_infeasible_members_warning_matches_its_own_lattice(kind):
+    # (2, 2) needs 3 frames in ctc-like, where a blank separates the repeat,
+    # and 2 in mono-rnnt; (3, 3, 3) needs 5 and 3; (1, 2, 3) needs 5 and 3
+    rng = np.random.default_rng(21)
+    good = make_synthetic_task(21, 3, 6, 3)
+    batch = [good[0], Utterance(rng.normal(size=(2, 6)), (2, 2)), good[1],
+             Utterance(rng.normal(size=(1, 6)), (1, 2, 3)), Utterance(rng.normal(size=(2, 6)), (3, 3, 3)), good[2]]
+    m = ToyModel(6, 8, 6, seed=5)
+    want = []
+    for i, utt in enumerate(batch):
+        lat = build_lattice(TopologySpec(kind, utt.labels, 6))
+        try:
+            loss_and_grad(lat, PosteriorTensor(forward_logits(m, utt)))
+        except InfeasibleLengthError as exc:
+            want.append(f"skipping infeasible utterance {i}: {exc}")
+    assert len(want) == (3 if kind == CTC_LIKE else 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        train_step(m, batch, kind)
+    assert [str(w.message) for w in caught] == want
+
+
+def per_lattice_step(model, batch, kind):
+    """train_step as it was when it built one spec and one lattice per
+    utterance and scored them with batch_loss_and_grad."""
+    acts = [gt_model._activations(model, utt) for utt in batch]
+    posts = gt_model._packed_posteriors([act @ model.join_w.T for _, _, act in acts])
+    results = batch_loss_and_grad(
+        (build_lattice(TopologySpec(kind, utt.labels, model.vocab_size)), post)
+        for utt, post in zip(batch, posts)
+    )
+    losses = []
+    total = {name: np.zeros_like(p) for name, p in model.params().items()}
+    for i, (result, (feats, idx, act)) in enumerate(zip(results, acts)):
+        if isinstance(result, InfeasibleLengthError):
+            warnings.warn(f"skipping infeasible utterance {i}: {result}", stacklevel=2)
+            continue
+        losses.append(result.loss)
+        grads = gt_model._backprop(model, feats, idx, act, np.ascontiguousarray(result.grad))
+        for name in total:
+            total[name] += grads[name]
+    if not losses:
+        raise ValueError("no feasible utterance in batch")
+    scale = model.lr / len(losses)
+    for name, param in model.params().items():
+        param -= scale * total[name]
+    return float(np.mean(losses))
+
+
+@st.composite
+def training_tasks(draw):
+    """A topology and a synthetic task with 1-4 random utterances put in:
+    labels with adjacent repeats, and frame counts that are often too
+    few for the labels."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    batch = make_synthetic_task(seed, draw(st.integers(1, 8)), 4, 4)
+    for _ in range(draw(st.integers(1, 4))):
+        labels = tuple(int(k) for k in rng.integers(1, 4, draw(st.integers(0, 5))))
+        frames = draw(st.integers(1, len(labels) + 2))
+        batch.insert(draw(st.integers(0, len(batch))), Utterance(rng.normal(size=(frames, 4)), labels))
+    return draw(st.sampled_from(TOPOLOGIES)), seed, batch
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(training_tasks())
+def test_train_step_equals_the_per_lattice_step_bit_for_bit(task):
+    kind, seed, batch = task
+    model = ToyModel(4, 8, 4, lr=0.3, seed=seed % 1000)
+    twin = clone(model)
+    for _ in range(3):
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always", UserWarning)
+            loss = train_step(model, batch, kind)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always", UserWarning)
+            assert loss == per_lattice_step(twin, batch, kind)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        for name, value in model.params().items():
+            assert np.array_equal(value, getattr(twin, name))
+
+
+@pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
+def test_a_training_step_makes_no_lattice_or_spec(kind, monkeypatch):
+    made = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (gt_lattice, gt_model):
+        monkeypatch.setattr(module, "build_lattice", counted("build_lattice", build_lattice))
+    monkeypatch.setattr(Lattice, "_from_arrays", classmethod(counted("Lattice", Lattice._from_arrays.__func__)))
+    monkeypatch.setattr(Lattice, "__post_init__", counted("Lattice", Lattice.__post_init__))
+    monkeypatch.setattr(TopologySpec, "__post_init__", counted("TopologySpec", TopologySpec.__post_init__))
+    data = make_synthetic_task(8, 20, 6, 5)
+    m = ToyModel(6, 8, 6, seed=8)
+    train_step(m, data, kind)
+    assert made == Counter()
+    # the guard sees the lattice and the spec of a per-utterance loss
+    utterance_loss(m, data[0], kind)
+    assert made == Counter(build_lattice=1, Lattice=1, TopologySpec=1)
 
 
 @pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
