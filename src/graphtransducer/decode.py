@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import BLANK, CTC_LIKE, TOPOLOGIES, TopologySpec, _is_int, _is_real, _to_float, build_lattice
+from .lattice import BLANK, CTC_LIKE, TopologySpec, _check_kind, _is_int, _is_real, _to_float, build_lattice
 from .loss import InfeasibleLengthError, log_marginal
 from .model import ToyModel, Utterance, _state_embedding_indices, forward_logits
 from .posteriors import PosteriorTensor
@@ -432,8 +432,7 @@ def greedy_search(provider: TensorPosteriors, kind: str) -> tuple[int, ...]:
     argmax (no repeat collapsing).  The decoder state advances with each
     emission because the prefix grows.
     """
-    if kind not in TOPOLOGIES:
-        raise ValueError(f"unknown topology kind {kind!r}")
+    _check_kind(kind)
     prefix: tuple[int, ...] = ()
     previous = BLANK
     for t in range(1, provider.num_frames + 1):

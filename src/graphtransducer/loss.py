@@ -16,10 +16,12 @@ logBeta together: it runs over the graph and its reverse as one graph of
 two disjoint parts.  It is the module's only frame loop:
 :func:`forward_vars`, :func:`backward_vars` and :func:`log_marginal` read
 their halves of its one table.  :func:`loss_and_grad` is the batch's call
-with one member.  The batch's scoring core takes the concatenated graph
-itself, so a training step passes the graph that
+with one member.  The side-by-side layout is this module's alone: one
+helper writes it, and the batch's scoring core takes the concatenated
+graph with the layout's arrays, so a training step passes the graph that
 :func:`~graphtransducer.lattice._build_stack` writes from its label
-sequences, and makes no lattice.
+sequences and the one tensor that normalizes its layout of logits, and
+makes no lattice.
 
 The entry points take any :class:`Lattice` that constructs; they do not
 run :func:`~graphtransducer.lattice.validate`, which governs
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, _fewest_emissions_from, _Stack
+from .lattice import Lattice, _fewest_emissions_from, _is_int, _Stack
 from .posteriors import _LOWEST, PosteriorTensor, _logsumexp
 
 NEG_INF = float("-inf")
@@ -135,46 +137,51 @@ def _stack(pairs: list[tuple[Lattice, PosteriorTensor]]) -> _Stack:
     )
 
 
-def _packed(posts: list[PosteriorTensor], states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The members' logits and log normalizers side by side on the state
-    axis and left-aligned in time: member b's at frames ``:T_b`` of state
-    columns ``states[b]:states[b + 1]``.  Members that are consecutive
-    columns of one tensor, in order, are read where they lie: a lone
-    tensor, or the members of one pack (:meth:`PosteriorTensor.member`).
-    Any other batch is copied into zero-filled arrays."""
-    frames = max(post.num_frames for post in posts)
-    sources = [(post._pack or post, post._first) for post in posts]
-    pack, first = sources[0]
-    if all(source is pack and at == first + lo for (source, at), lo in zip(sources, states)):
-        columns = slice(first, first + states[-1])
-        return pack.logits[:frames, columns], pack.lse[:frames, columns]
-    logits = np.zeros((frames, states[-1], max(post.vocab_size for post in posts)))
-    lse = np.zeros((frames, states[-1], 1))
-    for post, lo, hi in zip(posts, states, states[1:]):
-        logits[:post.num_frames, lo:hi, :post.vocab_size] = post.logits
-        lse[:post.num_frames, lo:hi] = post.lse
-    return logits, lse
+def _side_by_side(tables: list[np.ndarray], states: np.ndarray) -> np.ndarray:
+    """The (T_b, S_b, K_b) tables side by side on the state axis of one
+    zero-filled (max T_b, total S_b, max K_b) buffer, left-aligned in time:
+    table b takes frames ``:T_b`` of state columns ``states[b]:states[b + 1]``.
+    The batch's one layout, for logits and for their ``lse`` alike."""
+    frames, width = max(len(table) for table in tables), max(table.shape[2] for table in tables)
+    out = np.zeros((frames, states[-1], width))
+    for table, lo, hi in zip(tables, states, states[1:]):
+        out[:len(table), lo:hi, :table.shape[2]] = table
+    return out
 
 
-def _edge_scores(
-    stack: _Stack, posts: list[PosteriorTensor], logits: np.ndarray, lse: np.ndarray
-) -> np.ndarray:
+def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]):
+    """The pairs as one :class:`_Stack`, their tensors' ``logits`` and
+    ``lse`` laid out by :func:`_side_by_side` on its state axis, and each
+    member's vocabulary size: the arguments of :func:`_stack_loss_and_grad`.
+    A lone tensor is read where it lies, not copied."""
+    stack, posts = _stack(pairs), [post for _, post in pairs]
+    if len(posts) == 1:
+        logits, lse = posts[0].logits, posts[0].lse
+    else:
+        logits = _side_by_side([post.logits for post in posts], stack.states)
+        lse = _side_by_side([post.lse for post in posts], stack.states)
+    return stack, logits, lse, [post.vocab_size for post in posts]
+
+
+def _edge_scores(stack: _Stack, logits: np.ndarray, lse: np.ndarray, vocabs: list[int]) -> np.ndarray:
     """scores[t - 1, e] = log p(t, i_e, k_e) + w_e for each emitting edge e
     of the stack and each row t of ``logits`` and of their log normalizer
-    ``lse``, which hold the members' tensors as :func:`_packed` lays them out.
+    ``lse``, which hold the members' tensors as :func:`_side_by_side` lays
+    them out, in one (rows, total E) array that holds -inf past each
+    member's own T_b.
 
     log p(t, i, k) = h[t, i, k] - lse[t, i] is formed here, at the E edges
     only, so the (T, S, V) log-softmax is never written.  The one gather
     from the tensors, so the one place that checks every edge's state and
-    label against its member's tensor.
+    label against its member's state count and vocabulary size ``vocabs[b]``.
     """
     counts = np.diff(stack.edges)
     outside = stack.column >= np.repeat(stack.states[1:], counts)
-    outside |= stack.label >= np.repeat([post.vocab_size for post in posts], counts)
+    outside |= stack.label >= np.repeat(vocabs, counts)
     if outside.any():
         b = int(np.searchsorted(stack.edges, outside.argmax(), side="right")) - 1
         lo, hi = stack.edges[b], stack.edges[b + 1]
-        n_states, vocab = posts[b].logits.shape[1:]
+        n_states = stack.states[b + 1] - stack.states[b]
         max_state = int(stack.column[lo:hi].max() - stack.states[b])
         if max_state >= n_states:
             raise ValueError(
@@ -182,26 +189,11 @@ def _edge_scores(
                 f"only {n_states} states"
             )
         max_label = int(stack.label[lo:hi].max())
-        raise ValueError(f"lattice emits label {max_label} but the tensor vocab is {vocab}")
+        raise ValueError(f"lattice emits label {max_label} but the tensor vocab is {vocabs[b]}")
     scores = np.subtract(logits[:, stack.column, stack.label], lse[:, stack.column, 0])
     scores += stack.log_weight
+    scores[np.arange(len(scores))[:, None] >= np.repeat(stack.frames, counts)] = NEG_INF
     return scores
-
-
-def _scored(stack: _Stack, posts: list[PosteriorTensor]):
-    """The tensors as :func:`_packed` lays them out, and the stack's edge
-    scores from one :func:`_edge_scores` gather, in one (max T_b, total E)
-    array that holds -inf past each member's own T_b."""
-    logits, lse = _packed(posts, stack.states)
-    scores = _edge_scores(stack, posts, logits, lse)
-    scores[np.arange(len(scores))[:, None] >= np.repeat(stack.frames, np.diff(stack.edges))] = NEG_INF
-    return scores, logits, lse
-
-
-def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]):
-    """The pairs as one :class:`_Stack`, and what :func:`_scored` makes of it."""
-    stack = _stack(pairs)
-    return (stack, *_scored(stack, [post for _, post in pairs]))
 
 
 def _sweep(stack: _Stack, scores: np.ndarray) -> np.ndarray:
@@ -259,7 +251,8 @@ def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     the loop that fills logBeta too (:func:`_sweep`), and is the logAlpha
     half of that joint table as a view.
     """
-    return _sweep(*_stacked([(lat, post)])[:2])[:, :lat.num_nodes]
+    stack, *layout = _stacked([(lat, post)])
+    return _sweep(stack, _edge_scores(stack, *layout))[:, :lat.num_nodes]
 
 
 def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
@@ -273,8 +266,8 @@ def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     -inf.  It comes from the loop that fills logAlpha too (:func:`_sweep`),
     and is the logBeta half of that joint table as a view, reversed in time.
     """
-    table = _sweep(*_stacked([(lat, post)])[:2])
-    return table[::-1, lat.num_nodes:]
+    stack, *layout = _stacked([(lat, post)])
+    return _sweep(stack, _edge_scores(stack, *layout))[::-1, lat.num_nodes:]
 
 
 def marginal(
@@ -286,10 +279,16 @@ def marginal(
     the cross-check exploited by the verification suite.
     """
     frames = post.num_frames
+    if not _is_int(t):
+        raise ValueError(f"frame index t must be an integer; got {t!r}")
     if not 1 <= t <= frames:
         raise ValueError(f"frame index t={t} outside 1..{frames}")
+    shape = (frames + 1, lat.num_nodes)
+    for name, table in (("alpha", alpha), ("beta", beta)):
+        if np.shape(table) != shape:
+            raise ValueError(f"{name} must have shape {shape}; got {np.shape(table)}")
     stack = _stack([(lat, post)])
-    edge = _edge_scores(stack, [post], post.logits[t - 1:t], post.lse[t - 1:t])[0]
+    edge = _edge_scores(stack, post.logits[t - 1:t], post.lse[t - 1:t], [post.vocab_size])[0]
     scores = alpha[t - 1, stack.src] + edge + beta[t, stack.dst]
     return float(_logsumexp(scores)[0])
 
@@ -299,8 +298,8 @@ def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     :class:`InfeasibleLengthError` when it is -inf, that is when no
     alignment of length T exists or every one crosses a zero-weight edge.
     It is read from the logAlpha half of the joint table (:func:`_sweep`)."""
-    stack, scores, _, _ = _stacked([(lat, post)])
-    (outcome,) = _log_marginals(stack, _sweep(stack, scores))
+    stack, *layout = _stacked([(lat, post)])
+    (outcome,) = _log_marginals(stack, _sweep(stack, _edge_scores(stack, *layout)))
     if isinstance(outcome, InfeasibleLengthError):
         raise outcome
     return outcome
@@ -373,37 +372,36 @@ def batch_loss_and_grad(
     any other error raises for the batch.  The lattices are concatenated
     with node offsets into one :class:`_Stack`, a graph of disjoint parts
     (:func:`_stack`), which :func:`_stack_loss_and_grad` scores against the
-    tensors.  A batch of one pack's members in column order
-    (:meth:`PosteriorTensor.member`) is read in the pack's arrays, a lone
-    tensor as it is, and any other batch is copied into one layout.  A
-    member's ``grad`` is a view of the batch's gradient buffer, so keeping
-    one keeps that buffer alive.  Each member's result equals its own
+    tensors.  A lone tensor is read as it is; the tensors of a larger batch
+    are copied into one layout (:func:`_side_by_side`).  A member's
+    ``grad`` is a view of the batch's gradient buffer, so keeping one keeps
+    that buffer alive.  Each member's result equals its own
     :func:`loss_and_grad` bit for bit: every cell goes through the same
     floating-point operations in the same order.
     """
     pairs = list(pairs)
     if not pairs:
         return []
-    return _stack_loss_and_grad(_stack(pairs), [post for _, post in pairs])
+    return _stack_loss_and_grad(*_stacked(pairs))
 
 
 def _stack_loss_and_grad(
-    stack: _Stack, posts: list[PosteriorTensor]
+    stack: _Stack, logits: np.ndarray, lse: np.ndarray, vocabs: list[int]
 ) -> list[LossResult | InfeasibleLengthError]:
-    """:func:`batch_loss_and_grad` of the stack's members against
-    ``posts``, one tensor per member with ``stack.frames[b]`` frames and
-    ``states[b + 1] - states[b]`` decoder states;
+    """:func:`batch_loss_and_grad` of the stack's members against the
+    ``logits`` and ``lse`` of their tensors, laid side by side on the
+    state axis by :func:`_side_by_side` or a lone tensor's own arrays:
+    member b takes frames :T_b of state columns states[b]:states[b + 1],
+    and labels :V_b with V_b = ``vocabs[b]``.
     :func:`~graphtransducer.model.train_step` passes the stack that
-    :func:`~graphtransducer.lattice._build_stack` writes from its labels.
+    :func:`~graphtransducer.lattice._build_stack` writes from its labels,
+    with the arrays of the one tensor that normalizes its logits.
 
-    The tensors lie side by side on the state axis, left-aligned in time:
-    member b takes state columns states[b]:states[b + 1] and frames :T_b
-    of one (max T_b, total S_b, V) layout (:func:`_packed`).  One gather
-    reads every edge score into one (max T_b, total E) array, -inf past
-    each member's own T_b.  One frame loop fills logAlpha and logBeta for
-    every member (:func:`_sweep`): each member reads its log marginal from
-    logAlpha row T_b, and the loop writes the member's terminal weights
-    into logBeta row T_b before it reads that row.  The log marginals come
+    One gather reads every edge score into one (max T_b, total E) array,
+    -inf past each member's own T_b.  One frame loop fills logAlpha and
+    logBeta for every member (:func:`_sweep`): each member reads its log
+    marginal from logAlpha row T_b, and the loop writes the member's
+    terminal weights into logBeta row T_b before it reads that row.  The log marginals come
     from one gather of logAlpha at every member's end edges and one
     log-sum-exp per distinct end-edge count.  Every member goes through
     the occupancy pass; an infeasible member's log P is taken as +inf
@@ -413,7 +411,7 @@ def _stack_loss_and_grad(
     gradient; a member's ``grad`` is the view
     [:T_b, states[b]:states[b + 1], :V_b] of it.
     """
-    scores, logits, lse = _scored(stack, posts)
+    scores = _edge_scores(stack, logits, lse, vocabs)
     table = _sweep(stack, scores)
     alpha, beta = table[:, :stack.nodes[-1]], table[::-1, stack.nodes[-1]:]
     outcomes: list = _log_marginals(stack, alpha)
@@ -438,8 +436,8 @@ def _stack_loss_and_grad(
     np.exp(grad, out=grad)
     grad *= occ_state[:, :, None]
     grad[:, pair_column, pair_label] -= occ_pair
-    for b, post in enumerate(posts):
+    for b, vocab in enumerate(vocabs):
         if isinstance(outcomes[b], float):
-            member = grad[:post.num_frames, stack.states[b]:stack.states[b + 1], :post.vocab_size]
+            member = grad[:stack.frames[b], stack.states[b]:stack.states[b + 1], :vocab]
             outcomes[b] = LossResult(loss=-outcomes[b], log_marginal=outcomes[b], grad=member)
     return outcomes

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import TopologySpec, _build_stack, _checked_labels, _is_int, _to_float, build_lattice
-from .loss import InfeasibleLengthError, _stack_loss_and_grad, log_marginal
+from .loss import InfeasibleLengthError, _side_by_side, _stack_loss_and_grad, log_marginal
 # unused here; kept as a module attribute because the train-toy benchmark's
 # traced run (benchmarks/workloads.py) wraps ``model.loss_and_grad``
 from .loss import loss_and_grad  # noqa: F401
@@ -116,35 +116,20 @@ def _backprop(model: ToyModel, feats: np.ndarray, idx: np.ndarray, act: np.ndarr
     return grads
 
 
-def _packed_posteriors(tables: list[np.ndarray]) -> list[PosteriorTensor]:
-    """The (T_b, S_b, V) logit tables side by side on the state axis of one
-    zero-filled (max T_b, total S_b, V) buffer, left-aligned in time: table
-    b takes state columns ``states[b]:states[b + 1]`` and frames ``:T_b``.
-    One :class:`PosteriorTensor` normalizes the buffer; returns each
-    table's member of it."""
-    states = np.cumsum([0] + [table.shape[1] for table in tables])
-    logits = np.zeros((max(len(table) for table in tables), states[-1], tables[0].shape[2]))
-    for table, lo, hi in zip(tables, states, states[1:]):
-        logits[:len(table), lo:hi] = table
-    pack = PosteriorTensor(logits)
-    return [pack.member(len(table), lo, hi - lo) for table, lo, hi in zip(tables, states, states[1:])]
-
-
 def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     """One full-batch gradient step; returns the batch mean loss.
 
-    The model runs forward per utterance, and :func:`_packed_posteriors`
-    lays the logits side by side on the state axis of one zero-filled
-    buffer, left-aligned in time: utterance b takes state columns
-    ``states[b]:states[b + 1]`` and frames ``:T_b``, so one normalizer pass
-    serves the batch.  The batch's graph comes from one
-    :func:`~graphtransducer.lattice._build_stack` pass over the label
-    sequences, with no lattice or spec per utterance, and the loss core
-    that :func:`batch_loss_and_grad` runs scores the members in that
-    buffer and forms their gradients in one buffer of the same layout;
-    each member's gradient is a view of it, so keeping one keeps the whole
-    buffer alive.  The gradients are backpropagated and summed per
-    utterance in batch order.  A label that is not an integer in
+    The model runs forward per utterance.  The batch's graph comes from
+    one :func:`~graphtransducer.lattice._build_stack` pass over the label
+    sequences, with no lattice or spec per utterance.  The loss's layout
+    (:func:`~graphtransducer.loss._side_by_side`) puts the logits side by
+    side on that graph's state axis, in one zero-filled buffer, and one
+    :class:`PosteriorTensor` normalizes it, so one normalizer pass serves
+    the batch.  The loss core that :func:`batch_loss_and_grad` runs scores
+    the members in that tensor's arrays and forms their gradients in one
+    buffer of the same layout; each member's gradient is a view of it, so
+    keeping one keeps the whole buffer alive.  The gradients are
+    backpropagated and summed per utterance in batch order.  A label that is not an integer in
     1..vocab_size - 1 raises :class:`~graphtransducer.lattice.InvalidSpecError`.
     Utterances whose frame count cannot realize their labels under the
     topology are skipped with a warning rather than corrupting the step.
@@ -152,10 +137,10 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     if not batch:
         raise ValueError("no feasible utterance in batch")
     acts = [_activations(model, utt) for utt in batch]
-    posts = _packed_posteriors([act @ model.join_w.T for _, _, act in acts])
     # idx[1:] holds the utterance's checked labels as int64
     stack = _build_stack(kind, [idx[1:] for _, idx, _ in acts], [len(feats) for feats, _, _ in acts])
-    results = _stack_loss_and_grad(stack, posts)
+    post = PosteriorTensor(_side_by_side([act @ model.join_w.T for _, _, act in acts], stack.states))
+    results = _stack_loss_and_grad(stack, post.logits, post.lse, [model.vocab_size] * len(batch))
     losses = []
     total = {name: np.zeros_like(p) for name, p in model.params().items()}
     for i, (result, (feats, idx, act)) in enumerate(zip(results, acts)):

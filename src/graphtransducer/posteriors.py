@@ -52,21 +52,10 @@ class PosteriorTensor:
     in the math and 0-based in the arrays: row ``logprobs[t - 1, i]``
     scores frame t.
 
-    One tensor can hold many utterances side by side on the state axis, as
-    :func:`~graphtransducer.model.train_step` packs a batch: :meth:`member`
-    takes one utterance's frames and state columns as a tensor whose
-    ``logits`` and ``lse`` are read-only strided views of this one's, so the
-    pack's one normalizer pass serves every member.  The loss scores a
-    batch of one pack's members, in column order, in the pack's own arrays;
-    a lone tensor is read as it is, not copied, and any other batch is
-    copied into one padded buffer.
+    One tensor can hold a whole batch side by side on the state axis, as
+    :func:`~graphtransducer.model.train_step` lays out its logits, so one
+    normalizer pass serves every utterance; the loss owns that layout.
     """
-
-    # a member's pack and its first state column there; a member refers to
-    # its pack and a tensor never to itself, so dropping a step's references
-    # frees them without the cyclic garbage collector
-    _pack: PosteriorTensor | None = None
-    _first: int = 0
 
     def __init__(self, logits):
         logits = np.ascontiguousarray(np.asarray(logits, dtype=np.float64))
@@ -87,20 +76,6 @@ class PosteriorTensor:
         self.logits.flags.writeable = False
         lse.flags.writeable = False
         self.lse = lse
-
-    def member(self, frames: int, first: int, states: int) -> PosteriorTensor:
-        """Frames ``:frames`` of state columns ``first:first + states`` as a
-        tensor of their own, whose arrays are views of this tensor's."""
-        if not (1 <= frames <= self.num_frames and states >= 1 and 0 <= first <= self.num_states - states):
-            raise ValueError(
-                f"a member takes 1..{self.num_frames} frames and states within 0..{self.num_states - 1}; "
-                f"got {frames} frames and states {first}:{first + states}"
-            )
-        member = PosteriorTensor.__new__(PosteriorTensor)
-        member.logits = self.logits[:frames, first:first + states]
-        member.lse = self.lse[:frames, first:first + states]
-        member._pack, member._first = self, first
-        return member
 
     @cached_property
     def logprobs(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decode, loss, oracle
-from .lattice import CTC_LIKE, MONO_RNNT, TOPOLOGIES, TopologySpec, build_lattice
+from .lattice import CTC_LIKE, MONO_RNNT, TOPOLOGIES, TopologySpec, _check_kind, build_lattice
 from .loss import InfeasibleLengthError
 from .posteriors import PosteriorTensor
 
@@ -40,8 +40,7 @@ def random_case(rng: np.random.Generator, kind: str, max_t: int, max_u: int, voc
     ``max_t``; the empty sequence needs one frame, so any max_t >= 1 always
     finds a case.
     """
-    if kind not in TOPOLOGIES:
-        raise ValueError(f"unknown topology kind {kind!r}")
+    _check_kind(kind)
     if vocab < 2:
         raise ValueError("vocab must be at least 2 (blank plus one label)")
     for _ in range(1000):

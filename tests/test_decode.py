@@ -12,9 +12,11 @@ from graphtransducer import (
     MONO_RNNT,
     CountsLm,
     DecodeConfig,
+    InvalidSpecError,
     ModelPosteriors,
     PosteriorTensor,
     TensorPosteriors,
+    TopologySpec,
     ToyModel,
     UniformLm,
     beam_search,
@@ -242,6 +244,15 @@ def test_greedy_all_blank_is_empty():
     provider = TensorPosteriors(tiled(rows, states=5))
     assert greedy_search(provider, CTC_LIKE) == ()
     assert greedy_search(provider, MONO_RNNT) == ()
+
+
+def test_greedy_rejects_an_unknown_topology_as_the_spec_does():
+    provider = TensorPosteriors(PosteriorTensor(np.zeros((2, 3, 3))))
+    with pytest.raises(InvalidSpecError) as spec:
+        TopologySpec("ctc", (1,), 3)
+    with pytest.raises(InvalidSpecError) as info:
+        greedy_search(provider, "ctc")
+    assert str(info.value) == str(spec.value)
 
 
 def test_greedy_matches_collapse_of_argmax_sequence():

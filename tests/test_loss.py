@@ -41,8 +41,15 @@ from graphtransducer import (
     train_step,
     validate,
 )
-from graphtransducer.loss import _scatter_logsumexp, _stack_loss_and_grad, _stacked, _sweep
-from graphtransducer.model import _packed_posteriors
+from graphtransducer.loss import (
+    _edge_scores,
+    _scatter_logsumexp,
+    _side_by_side,
+    _stack,
+    _stack_loss_and_grad,
+    _stacked,
+    _sweep,
+)
 from graphtransducer.oracle import log_softmax
 from graphtransducer.posteriors import _BLOCK_BYTES, _logsumexp
 from graphtransducer.verify import FD_STEP, GRAD_TOL, ORACLE_TOL, ROW_SUM_TOL, random_case
@@ -143,6 +150,28 @@ def test_marginal_rejects_bad_frame_index():
         marginal(lat, post, alpha, beta, 0)
     with pytest.raises(ValueError, match="outside"):
         marginal(lat, post, alpha, beta, 3)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.5, True])
+def test_marginal_rejects_a_frame_index_that_is_not_an_integer(t):
+    lat, post = ctc_a(), rand_post(7, 2, 2, 3)
+    alpha, beta = forward_vars(lat, post), backward_vars(lat, post)
+    with pytest.raises(ValueError, match="frame index t must be an integer"):
+        marginal(lat, post, alpha, beta, t)
+
+
+def test_marginal_rejects_tables_of_another_lattice():
+    lat, post = ctc_a(), rand_post(7, 2, 2, 3)
+    alpha, beta = forward_vars(lat, post), backward_vars(lat, post)
+    longer = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3))
+    other = PosteriorTensor(np.zeros((2, 3, 3)))
+    wide_alpha, wide_beta = forward_vars(longer, other), backward_vars(longer, other)
+    with pytest.raises(ValueError, match=r"alpha must have shape \(3, 5\)"):
+        marginal(lat, post, wide_alpha, beta, 1)
+    with pytest.raises(ValueError, match=r"beta must have shape \(3, 5\)"):
+        marginal(lat, post, alpha, wide_beta, 1)
+    # a numpy integer is an integer frame index
+    assert marginal(lat, post, alpha, beta, np.int64(2)) == marginal(lat, post, alpha, beta, 2)
 
 
 def test_forward_backward_terminal_consistency():
@@ -441,27 +470,37 @@ def test_batch_equals_per_utterance_bit_for_bit(batch):
         assert np.array_equal(outcome.grad, alone.grad)
 
 
+def test_a_members_frames_past_its_own_count_stay_out_of_the_batch():
+    # a huge self-loop weight would overflow the padded logAlpha rows of a
+    # one-frame member to inf, and give inf - inf in its occupancies, if
+    # the edge scores past its frame count were not -inf
+    nodes = (Node(0, "start"), Node(1, 1), Node(2, "end"))
+    edges = (Edge(0, 1, 0.0, 0), Edge(1, 1, 1e308, 0), Edge(1, 2, 0.0, None))
+    batch = [(Lattice(nodes, edges, num_states=1, vocab_size=2), rand_post(40, 1, 1, 2)),
+             (ctc_a(), rand_post(41, 4, 2, 3))]
+    for (lat, post), outcome in zip(batch, batch_loss_and_grad(batch)):
+        alone = loss_and_grad(lat, post)
+        assert outcome.loss == alone.loss and np.array_equal(outcome.grad, alone.grad)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(loss_batches(one_vocab=True))
 def test_packed_members_equal_their_own_tensors_bit_for_bit(batch):
-    # the members of one pack, as train_step makes them, scored in the pack
-    # as a batch and each on its own, against a tensor of their own logits
-    members = _packed_posteriors([post.logits for _, post in batch])
-    outcomes = batch_loss_and_grad((lat, member) for (lat, _), member in zip(batch, members))
-    for (lat, post), member, outcome in zip(batch, members, outcomes):
-        assert np.array_equal(member.logits, post.logits) and np.array_equal(member.lse, post.lse)
+    # the members' logits in one layout normalized by one tensor, as
+    # train_step packs them, scored by the core against their own tensors
+    stack = _stack(batch)
+    pack = PosteriorTensor(_side_by_side([post.logits for _, post in batch], stack.states))
+    outcomes = _stack_loss_and_grad(stack, pack.logits, pack.lse, [post.vocab_size for _, post in batch])
+    for (lat, post), lo, hi, outcome in zip(batch, stack.states, stack.states[1:], outcomes):
+        assert np.array_equal(pack.lse[:post.num_frames, lo:hi], post.lse)
         try:
             alone = loss_and_grad(lat, post)
         except InfeasibleLengthError as exc:
             assert isinstance(outcome, InfeasibleLengthError)
             assert (outcome.frames, outcome.min_frames) == (exc.frames, exc.min_frames)
-            with pytest.raises(InfeasibleLengthError) as info:
-                loss_and_grad(lat, member)
-            assert (info.value.frames, info.value.min_frames) == (exc.frames, exc.min_frames)
             continue
-        for got in (outcome, loss_and_grad(lat, member)):
-            assert got.loss == alone.loss and got.log_marginal == alone.log_marginal
-            assert got.grad.shape == alone.grad.shape and np.array_equal(got.grad, alone.grad)
+        assert outcome.loss == alone.loss and outcome.log_marginal == alone.log_marginal
+        assert outcome.grad.shape == alone.grad.shape and np.array_equal(outcome.grad, alone.grad)
 
 
 def _per_direction_logsumexp(values, index, size):
@@ -478,6 +517,12 @@ def _per_direction_logsumexp(values, index, size):
 def _per_direction_sweep(table, scores, gather, scatter):
     for s, row in enumerate(scores, start=1):
         table[s] = _per_direction_logsumexp(table[s - 1, gather] + row, scatter, table.shape[1])
+
+
+def stacked_scores(batch):
+    """The batch as one stack, and its edge scores as the loss gathers them."""
+    stack, *layout = _stacked(batch)
+    return stack, _edge_scores(stack, *layout)
 
 
 def per_direction_tables(stack, scores):
@@ -510,7 +555,7 @@ def sweep_batches(draw):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(sweep_batches())
 def test_the_joint_sweep_equals_one_sweep_per_direction_bit_for_bit(batch):
-    stack, scores = _stacked(batch)[:2]
+    stack, scores = stacked_scores(batch)
     alpha, beta = per_direction_tables(stack, scores)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -534,7 +579,7 @@ def single_members(draw):
 @given(single_members())
 def test_the_public_tables_and_marginal_equal_one_sweep_per_direction_bit_for_bit(pair):
     lat, post = pair
-    alpha, beta = per_direction_tables(*_stacked([pair])[:2])
+    alpha, beta = per_direction_tables(*stacked_scores([pair]))
     assert np.array_equal(forward_vars(lat, post), alpha)
     assert np.array_equal(backward_vars(lat, post), beta)
     want = float(_logsumexp(alpha[-1, lat.final.src] + lat.final.log_weight)[0])
@@ -574,7 +619,7 @@ def test_the_sweep_allocates_little_beyond_its_tables(kind):
     # a (T, 2E) score copy breaks this; it tipped loss-long peak_rss_mb to 191 MB (see CHANGES.md)
     rng = np.random.default_rng(33)
     lat = build_lattice(TopologySpec(kind, tuple(int(k) for k in rng.integers(1, 100, 100)), 100))
-    stack, scores = _stacked([(lat, PosteriorTensor(rng.normal(0, 1, (500, 101, 100))))])[:2]
+    stack, scores = stacked_scores([(lat, PosteriorTensor(rng.normal(0, 1, (500, 101, 100))))])
     tables = 2 * (len(scores) + 1) * lat.num_nodes * 8
     assert traced_peak(lambda: _sweep(stack, scores)) < 1.25 * tables
 
@@ -583,25 +628,30 @@ def test_a_packs_members_are_not_copied():
     rng = np.random.default_rng(34)
     lats = [build_lattice(TopologySpec(kind, tuple(int(k) for k in rng.integers(1, 100, 50)), 100))
             for kind in TOPOLOGIES]
-    members = _packed_posteriors([rng.normal(0, 1, (frames, 51, 100)) for frames in (250, 200)])
-    pack = members[0]._pack
-    assert traced_peak(lambda: batch_loss_and_grad(zip(lats, members))) < 1.5 * pack.logits.nbytes
+    tables = [rng.normal(0, 1, (frames, 51, 100)) for frames in (250, 200)]
+    stack = _stack([(lat, PosteriorTensor(table)) for lat, table in zip(lats, tables)])
+    # one tensor normalizes the layout and the core reads it, as in train_step
+    pack = PosteriorTensor(_side_by_side(tables, stack.states))
+    peak = traced_peak(lambda: _stack_loss_and_grad(stack, pack.logits, pack.lse, [100, 100]))
+    assert peak < 1.5 * pack.logits.nbytes
 
 
 @pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
 def test_a_training_steps_tensors_are_freed_without_the_cyclic_collector(monkeypatch, kind):
-    # a reference cycle would keep every step's pack until a collection,
-    # which raises peak memory over a run
-    made, scored = [], []
+    # a reference cycle would keep every step's tensor and gradient buffer
+    # until a collection, which raises peak memory over a run
+    made, buffers = [], []
 
     def tracked(logits):
         pack = PosteriorTensor(logits)
         made.append(weakref.ref(pack))
         return pack
 
-    def scoring(stack, posts):
-        scored.extend(weakref.ref(post) for post in posts)
-        return _stack_loss_and_grad(stack, posts)
+    def scoring(stack, logits, lse, vocabs):
+        outcomes = _stack_loss_and_grad(stack, logits, lse, vocabs)
+        # every member's grad is a view of the step's one gradient buffer
+        buffers.append(weakref.ref(outcomes[0].grad.base))
+        return outcomes
 
     monkeypatch.setattr(gt_model, "PosteriorTensor", tracked)
     monkeypatch.setattr(gt_model, "_stack_loss_and_grad", scoring)
@@ -609,8 +659,8 @@ def test_a_training_steps_tensors_are_freed_without_the_cyclic_collector(monkeyp
     gc.disable()
     try:
         train_step(model, data, kind)
-        assert len(made) == 1 and len(scored) == len(data)
-        assert all(ref() is None for ref in made + scored)
+        assert len(made) == 1 and len(buffers) == 1
+        assert all(ref() is None for ref in made + buffers)
     finally:
         gc.enable()
 

@@ -21,7 +21,6 @@ from graphtransducer import (
     TopologySpec,
     ToyModel,
     Utterance,
-    batch_loss_and_grad,
     build_lattice,
     forward_logits,
     greedy_search,
@@ -230,19 +229,17 @@ def test_an_infeasible_members_warning_matches_its_own_lattice(kind):
 
 
 def per_lattice_step(model, batch, kind):
-    """train_step as it was when it built one spec and one lattice per
-    utterance and scored them with batch_loss_and_grad."""
-    acts = [gt_model._activations(model, utt) for utt in batch]
-    posts = gt_model._packed_posteriors([act @ model.join_w.T for _, _, act in acts])
-    results = batch_loss_and_grad(
-        (build_lattice(TopologySpec(kind, utt.labels, model.vocab_size)), post)
-        for utt, post in zip(batch, posts)
-    )
+    """train_step from one spec, one lattice and one tensor per utterance,
+    each scored on its own by loss_and_grad."""
     losses = []
     total = {name: np.zeros_like(p) for name, p in model.params().items()}
-    for i, (result, (feats, idx, act)) in enumerate(zip(results, acts)):
-        if isinstance(result, InfeasibleLengthError):
-            warnings.warn(f"skipping infeasible utterance {i}: {result}", stacklevel=2)
+    for i, utt in enumerate(batch):
+        feats, idx, act = gt_model._activations(model, utt)
+        lat = build_lattice(TopologySpec(kind, utt.labels, model.vocab_size))
+        try:
+            result = loss_and_grad(lat, PosteriorTensor(act @ model.join_w.T))
+        except InfeasibleLengthError as exc:
+            warnings.warn(f"skipping infeasible utterance {i}: {exc}", stacklevel=2)
             continue
         losses.append(result.loss)
         grads = gt_model._backprop(model, feats, idx, act, np.ascontiguousarray(result.grad))

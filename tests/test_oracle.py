@@ -6,6 +6,7 @@ from graphtransducer import (
     MONO_RNNT,
     Edge,
     InfeasibleLengthError,
+    InvalidSpecError,
     Lattice,
     Node,
     PosteriorTensor,
@@ -236,3 +237,11 @@ def test_oracle_checks_catch_a_wrong_production_normalizer(monkeypatch):
     for result in (match, *reductions):
         assert not result.passed
         assert result.text.startswith(f"{result.name}: FAIL ")
+
+
+def test_random_case_rejects_an_unknown_topology_as_the_spec_does():
+    with pytest.raises(InvalidSpecError) as spec:
+        TopologySpec("rnnt", (1,), 3)
+    with pytest.raises(InvalidSpecError) as info:
+        random_case(np.random.default_rng(0), "rnnt", 4, 2, 3)
+    assert str(info.value) == str(spec.value)

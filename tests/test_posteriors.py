@@ -194,19 +194,3 @@ def test_format_layout_is_exactly_as_documented(tmp_path):
     assert int.from_bytes(raw[12:16], "little") == 2
     assert int.from_bytes(raw[16:20], "little") == 2
     assert np.frombuffer(raw[20:], dtype="<f8").tolist() == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_a_member_is_a_read_only_view_of_its_pack():
-    pack = PosteriorTensor(np.random.default_rng(9).normal(0, 1, (5, 7, 3)))
-    member = pack.member(4, 2, 3)
-    assert member.logits.shape == (4, 3, 3) and member.lse.shape == (4, 3, 1)
-    for mine, packs in ((member.logits, pack.logits), (member.lse, pack.lse)):
-        assert np.shares_memory(mine, packs) and not mine.flags.writeable
-    assert np.array_equal(member.logits, pack.logits[:4, 2:5])
-    assert np.array_equal(member.lse, PosteriorTensor(pack.logits[:4, 2:5]).lse)
-
-
-@pytest.mark.parametrize("frames, first, states", [(0, 0, 1), (6, 0, 1), (1, 0, 0), (1, -1, 2), (1, 6, 2)])
-def test_a_member_outside_its_pack_is_rejected(frames, first, states):
-    with pytest.raises(ValueError, match="a member takes"):
-        PosteriorTensor(np.zeros((5, 7, 3))).member(frames, first, states)
