@@ -4,8 +4,7 @@ from graphtransducer import (
     CTC_LIKE,
     MONO_RNNT,
     TopologySpec,
-    build_ctc_like_graph,
-    build_monornnt_graph,
+    build_lattice,
     deserialize,
     serialize,
     to_dot,
@@ -15,8 +14,8 @@ from graphtransducer import (
 # A lattice encodes every way a label sequence can be stretched over the
 # input frames.  Build both topologies for the sequence (1, 2) with a
 # three-symbol vocabulary (blank is always label 0).
-ctc = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), vocab_size=3))
-mono = build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), vocab_size=3))
+ctc = build_lattice(TopologySpec(CTC_LIKE, (1, 2), vocab_size=3))
+mono = build_lattice(TopologySpec(MONO_RNNT, (1, 2), vocab_size=3))
 
 print("ctc-like:", len(ctc.nodes), "nodes,", len(ctc.edges), "edges")
 print("mono-rnnt:", len(mono.nodes), "nodes,", len(mono.edges), "edges")
@@ -27,7 +26,8 @@ for node in ctc.nodes:
     outgoing = [(e.dst, e.state) for e in ctc.edges if e.src == node.id]
     print(f"  node {node.id} ({node.label!r:>7}) -> {outgoing}")
 
-# The builders always satisfy the well-formedness rules: determinism, one
+# build_lattice, the one builder, reads the topology from the spec's kind.
+# Its lattices always satisfy the well-formedness rules: determinism, one
 # decoder state per node's outgoing edges, BFS id order, reachability.
 print("ctc violations:", validate(ctc))
 print("mono violations:", validate(mono))
@@ -35,8 +35,8 @@ print("mono violations:", validate(mono))
 # The difference between the topologies shows up with repeated labels:
 # ctc-like removes the direct step between equal labels (the blank becomes
 # mandatory) while mono-rnnt removes label self-loops instead.
-ctc_rep = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 1), vocab_size=2))
-mono_rep = build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 1), vocab_size=2))
+ctc_rep = build_lattice(TopologySpec(CTC_LIKE, (1, 1), vocab_size=2))
+mono_rep = build_lattice(TopologySpec(MONO_RNNT, (1, 1), vocab_size=2))
 print("ctc (1,1) edges:", sorted((e.src, e.dst) for e in ctc_rep.edges))
 print("mono (1,1) edges:", sorted((e.src, e.dst) for e in mono_rep.edges))
 

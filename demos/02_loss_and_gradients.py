@@ -6,9 +6,9 @@ from graphtransducer import (
     CTC_LIKE,
     PosteriorTensor,
     TopologySpec,
+    build_lattice,
     backward_vars,
     brute_force_marginal,
-    build_ctc_like_graph,
     finite_diff_grad,
     forward_vars,
     loss_and_grad,
@@ -19,7 +19,7 @@ rng = np.random.default_rng(0)
 
 # Score a 4-frame utterance against the lattice of the sequence (1, 2).
 # The posterior tensor has one distribution per (frame, decoder state).
-lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), vocab_size=4))
+lat = build_lattice(TopologySpec(CTC_LIKE, (1, 2), vocab_size=4))
 post = PosteriorTensor(rng.normal(0.0, 1.0, (4, 3, 4)))
 
 result = loss_and_grad(lat, post)

@@ -12,7 +12,6 @@ from .decode import (
     DecodeConfig,
     ModelPosteriors,
     TensorPosteriors,
-    UniformLm,
     beam_search,
     edit_distance,
     greedy_search,
@@ -29,9 +28,7 @@ from .lattice import (
     LatticeFormatError,
     Node,
     TopologySpec,
-    build_ctc_like_graph,
     build_lattice,
-    build_monornnt_graph,
     deserialize,
     serialize,
     to_dot,

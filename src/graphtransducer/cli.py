@@ -16,7 +16,7 @@ import time
 
 from . import verify
 from .decode import (
-    GREEDY, PREFIX_BEAM, CountsLm, DecodeConfig, ModelPosteriors, UniformLm,
+    GREEDY, PREFIX_BEAM, CountsLm, DecodeConfig, ModelPosteriors,
     beam_search, edit_distance, greedy_search,
 )
 from .lattice import (
@@ -151,12 +151,9 @@ def _cmd_check_oracle(args) -> int:
             args.seed, min(args.cases, 32), max_t=max(args.max_t, 2), max_u=args.max_u,
             vocab=args.vocab, topologies=(args.topology,),
         ),
-        verify.check_ctc_reduction(
-            args.seed, min(args.cases, 100), max_t=args.max_t, max_u=args.max_u, vocab=args.vocab
-        ),
-        verify.check_monornnt_reduction(
-            args.seed, min(args.cases, 100), max_t=args.max_t, max_u=args.max_u, vocab=args.vocab
-        ),
+        *(verify.check_reduction(
+            kind, args.seed, min(args.cases, 100), max_t=args.max_t, max_u=args.max_u, vocab=args.vocab
+        ) for kind in TOPOLOGIES),
         normalization,
     ]
     for result in results:
@@ -207,7 +204,7 @@ def _cmd_decode(args) -> int:
             f"checkpoint vocab {model.vocab_size} does not match --vocab {args.vocab}"
         )
     data = make_synthetic_task(args.seed, args.utts, args.vocab, args.max_len)
-    lm = CountsLm.load(args.lm_counts, args.vocab) if args.lm_counts else UniformLm()
+    lm = CountsLm.load(args.lm_counts, args.vocab) if args.lm_counts else None
     print(
         f"# decode seed={args.seed} utts={args.utts} vocab={args.vocab} max_len={args.max_len} "
         f"topology={args.topology} search={args.search} beam={args.beam} theta1={args.theta1:g} "

@@ -88,30 +88,6 @@ class ModelPosteriors(TensorPosteriors):
             return NEG_INF
 
 
-class _Zeros:
-    """A row of zero scores as long as any vocabulary."""
-
-    def __getitem__(self, label: int) -> float:
-        return 0.0
-
-
-class UniformLm:
-    """No-op language model: log probability 0 for every prefix, over any
-    vocabulary."""
-
-    vocab_size = None
-    _row = _Zeros()
-
-    def extension_score(self, context: tuple[int, ...], label: int) -> float:
-        return 0.0
-
-    def extension_row(self, context: tuple[int, ...]) -> _Zeros:
-        return self._row
-
-    def score(self, prefix: tuple[int, ...]) -> float:
-        return 0.0
-
-
 class CountsLm:
     """Count-based n-gram over label ids, loaded from a counts file.
 
@@ -303,8 +279,9 @@ def beam_search(
     ``h + (k,)`` adds entry k of ``lm.extension_row(h)`` to its parent's.
     An LM therefore fuses when it has ``extension_row(context)``, the
     extension scores after a context indexed by label, and ``vocab_size``,
-    which must equal the provider's unless it is None (any vocabulary); a
-    mismatch raises ``ValueError`` before the first frame.  A row may
+    which must equal the provider's; a mismatch raises ``ValueError``
+    before the first frame.  ``lm=None`` searches with no LM: every
+    extension scores 0.0, read from one row of zeros.  A row may
     depend only on its context: a survivor keeps the row it fetched for
     the frames it goes on surviving.  The running sum equals the LM's
     whole-prefix ``score`` when its rows hold the terms of that sum, as
@@ -322,12 +299,15 @@ def beam_search(
     records scoring at least the P-th best are ranked by position in
     parallel lists, which ``prune`` cuts to the next frame's survivors.
     """
-    if lm is None:
-        lm = UniformLm()
     vocab = provider.vocab_size
-    if lm.vocab_size is not None and lm.vocab_size != vocab:
+    if lm is None:
+        no_lm = [0.0] * vocab
+        extension_row = lambda context: no_lm
+    elif lm.vocab_size != vocab:
         raise ValueError(f"the LM scores {lm.vocab_size} labels but the posteriors have {vocab}")
-    extension_row, state_of = lm.extension_row, provider.state
+    else:
+        extension_row = lm.extension_row
+    state_of = provider.state
     weight, bonus, max_hyps = cfg.lm_weight, cfg.insertion_bonus, cfg.beam_size
     log_theta1 = math.log(cfg.theta1) if cfg.theta1 > 0.0 else NEG_INF
     # the insertion bonus by prefix length: it counts emitted labels, and an

@@ -186,7 +186,8 @@ class TopologySpec:
     """Which topology to build and for which (blank-free) label sequence.
 
     ``vocab_size`` counts all labels including blank; when omitted it is
-    inferred as ``max(labels) + 1``.  Labels and ``vocab_size`` are stored
+    inferred as ``max(labels) + 1`` (1 for no labels) and stored, so after
+    construction it is always an int.  Labels and ``vocab_size`` are stored
     as ints; a label must fit the int64 arrays the lattice holds.
     """
 
@@ -203,11 +204,8 @@ class TopologySpec:
                 )
             object.__setattr__(self, "vocab_size", int(self.vocab_size))
         object.__setattr__(self, "labels", _checked_labels(self.labels, self.vocab_size))
-
-    def resolved_vocab(self) -> int:
-        if self.vocab_size is not None:
-            return self.vocab_size
-        return max(self.labels) + 1 if self.labels else 1
+        if self.vocab_size is None:
+            object.__setattr__(self, "vocab_size", max(self.labels) + 1 if self.labels else 1)
 
 
 class EmitArrays(NamedTuple):
@@ -387,27 +385,6 @@ def _bfs_layers(arcs, source: int) -> dict[int, int]:
     return dist
 
 
-def build_ctc_like_graph(spec: TopologySpec) -> Lattice:
-    """Build the topology that allows label repetition and optional blanks.
-
-    Every emitting node has a self-loop; the direct step y_u -> y_{u+1}
-    exists only when the two labels differ, so identical adjacent labels
-    are forced through the blank between them.
-    """
-    if spec.kind != CTC_LIKE:
-        raise InvalidSpecError(f"expected kind {CTC_LIKE!r}, got {spec.kind!r}")
-    return build_lattice(spec)
-
-
-def build_monornnt_graph(spec: TopologySpec) -> Lattice:
-    """Build the strictly monotonic topology: one emission per frame, no
-    label repetition (label nodes have no self-loops), and the direct step
-    y_u -> y_{u+1} regardless of label equality."""
-    if spec.kind != MONO_RNNT:
-        raise InvalidSpecError(f"expected kind {MONO_RNNT!r}, got {spec.kind!r}")
-    return build_lattice(spec)
-
-
 def build_lattice(spec: TopologySpec) -> Lattice:
     """Build the lattice of ``spec.kind`` over ``spec.labels`` (y_1..y_U).
 
@@ -432,7 +409,7 @@ def build_lattice(spec: TopologySpec) -> Lattice:
         EmitArrays(stack.src, stack.dst, stack.column, stack.label, stack.log_weight),
         EndArrays(stack.final_src, stack.final_weight),
         num_states=len(spec.labels) + 1,
-        vocab_size=spec.resolved_vocab(),
+        vocab_size=spec.vocab_size,
     )
 
 

@@ -104,7 +104,9 @@ def write_tensor(file: BinaryIO | str | os.PathLike, arr: np.ndarray) -> None:
     """Write an array in the binary tensor format: magic "GTCT", u32
     version, u32 rank, u32 dims, then float64 values row-major, all
     little-endian."""
-    arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+    # not np.ascontiguousarray, which makes a rank-0 array rank 1;
+    # tobytes(order="C") writes any layout row-major
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim < 1 or min(arr.shape) < 1:
         raise ValueError(f"tensor must have rank >= 1 with positive dims; got shape {arr.shape}")
     header = struct.pack("<4sII", TENSOR_MAGIC, TENSOR_VERSION, arr.ndim)

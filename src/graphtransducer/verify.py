@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import decode, loss, oracle
-from .lattice import CTC_LIKE, MONO_RNNT, TOPOLOGIES, TopologySpec, _check_kind, build_lattice
+from .lattice import CTC_LIKE, TOPOLOGIES, TopologySpec, _check_kind, _is_int, build_lattice
 from .loss import InfeasibleLengthError
 from .posteriors import PosteriorTensor
 
@@ -38,11 +38,15 @@ def random_case(rng: np.random.Generator, kind: str, max_t: int, max_u: int, voc
 
     Resamples the label sequence when its shortest alignment exceeds
     ``max_t``; the empty sequence needs one frame, so any max_t >= 1 always
-    finds a case.
+    finds a case.  ``max_t`` must be an integer >= 1 and ``max_u`` an
+    integer >= 0.
     """
     _check_kind(kind)
     if vocab < 2:
         raise ValueError("vocab must be at least 2 (blank plus one label)")
+    for name, value, least in (("max_t", max_t, 1), ("max_u", max_u, 0)):
+        if not _is_int(value) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")
     for _ in range(1000):
         n_labels = int(rng.integers(0, max_u + 1))
         labels = tuple(int(k) for k in rng.integers(1, vocab, size=n_labels))
@@ -111,29 +115,18 @@ def check_t_invariance(
     return CheckResult("t-invariance", ok, text)
 
 
-def check_ctc_reduction(
-    seed: int, cases: int, max_t: int = 5, max_u: int = 3, vocab: int = 4
-) -> CheckResult:
-    """With one shared distribution across decoder states, the CTC-like
-    loss must equal the plain CTC loss of that distribution."""
-    return _check_reduction("ctc-reduction", CTC_LIKE, seed, cases, max_t, max_u, vocab)
-
-
-def check_monornnt_reduction(
-    seed: int, cases: int, max_t: int = 5, max_u: int = 3, vocab: int = 4
-) -> CheckResult:
-    """The mono-rnnt lattice marginal must equal the direct two-index
-    recursion on the same tensor."""
-    return _check_reduction("monornnt-reduction", MONO_RNNT, seed, cases, max_t, max_u, vocab)
-
-
-def _check_reduction(
-    name: str, kind: str, seed: int, cases: int, max_t: int, max_u: int, vocab: int
+def check_reduction(
+    kind: str, seed: int, cases: int, max_t: int = 5, max_u: int = 3, vocab: int = 4
 ) -> CheckResult:
     """The production loss of random ``kind`` cases against that
     topology's reference recursion, which reads the oracle's own
-    log-softmax of the logits; ctc-like cases first tie every decoder
-    state to state 0's distribution."""
+    log-softmax of the logits.  ctc-like cases first tie every decoder
+    state to state 0's distribution, so the loss must equal the plain CTC
+    loss of that distribution (``ctc-reduction``); the mono-rnnt marginal
+    must equal the direct two-index recursion on the same tensor
+    (``monornnt-reduction``)."""
+    _check_kind(kind)
+    name = "ctc-reduction" if kind == CTC_LIKE else "monornnt-reduction"
     rng = np.random.default_rng(seed)
     max_diff = 0.0
     for _ in range(cases):
@@ -229,7 +222,7 @@ def exhaustive_best_prefix(
 
 
 def check_beam_exactness(seed: int, cases: int, max_t: int = 4, vocab: int = 3) -> CheckResult:
-    """With no pruning, a uniform LM, and neutral weights, the beam search
+    """With no pruning, no LM, and neutral weights, the beam search
     must return the same best prefix (and score) as exhaustive scoring."""
     rng = np.random.default_rng(seed)
     mismatches = 0

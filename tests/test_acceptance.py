@@ -10,15 +10,14 @@ import functools
 import sys
 import time
 
-from graphtransducer import TOPOLOGIES, ToyModel, make_synthetic_task, train_step
+from graphtransducer import CTC_LIKE, MONO_RNNT, TOPOLOGIES, ToyModel, make_synthetic_task, train_step
 from graphtransducer.decode import ModelPosteriors, greedy_search
 from graphtransducer.verify import (
     CheckResult,
     check_beam_exactness,
-    check_ctc_reduction,
     check_gradients,
     check_marginal_oracle,
-    check_monornnt_reduction,
+    check_reduction,
     check_t_invariance,
 )
 
@@ -51,8 +50,8 @@ CRITERIA = {
     1: lambda: check_marginal_oracle(101, 200, max_t=5, max_u=3, vocab=4)[0],
     2: lambda: check_gradients(102, 200, max_t=4, max_u=2, vocab=3),
     3: lambda: check_t_invariance(103, 32, max_t=32, max_u=3, vocab=4),
-    4: lambda: check_ctc_reduction(104, 100, max_t=5, max_u=3, vocab=4),
-    5: lambda: check_monornnt_reduction(105, 100, max_t=5, max_u=3, vocab=4),
+    4: lambda: check_reduction(CTC_LIKE, 104, 100, max_t=5, max_u=3, vocab=4),
+    5: lambda: check_reduction(MONO_RNNT, 105, 100, max_t=5, max_u=3, vocab=4),
     6: lambda: check_marginal_oracle(106, 200, max_t=5, max_u=3, vocab=4)[1],
     7: lambda: check_beam_exactness(107, 50, max_t=4, vocab=3),
     8: _criterion_8,

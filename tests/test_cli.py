@@ -38,9 +38,11 @@ def test_check_grad_other_topology(capsys):
 def test_check_oracle_reports_all_laws(capsys):
     code, out, _ = run(capsys, "check-oracle", "--cases", "10")
     assert code == 0
-    for law in ("oracle-match", "t-invariance", "ctc-reduction", "monornnt-reduction",
-                "normalization"):
+    laws = ["oracle-match", "t-invariance", "ctc-reduction", "monornnt-reduction", "normalization"]
+    for law in laws:
         assert f"{law}: PASS" in out
+    # each reduction law is reported under its own topology's name, in this order
+    assert [line.split(":")[0] for line in out.splitlines()[1:-1]] == laws
 
 
 def test_reports_are_byte_identical_across_reruns(capsys):
@@ -250,6 +252,9 @@ DUMP = ["dump-graph", "--labels"]
     (DUMP + ["5", "--vocab", "3"], "label 5 out of range for vocab_size 3"),
     (DUMP + ["-1"], "negative label id -1"),
     (DUMP + ["--vocab", "0"], "vocab_size must be at least 1"),
+    (["check-oracle", "--cases", "abc"], "argument --cases: must be an integer >= 1; got 'abc'"),
+    (["check-grad", "--eps", "abc"], "argument --eps: must be a positive finite number; got 'abc'"),
+    (TRAIN + ["--lr", "abc"], "argument --lr: must be a finite number; got 'abc'"),
 ])
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
@@ -275,7 +280,9 @@ def test_missing_checkpoint_exit_3(capsys):
     lambda header: {**header, "hyper": {**header["hyper"], "feat_dim": 6.0}},
     lambda header: {**header, "params": header["params"][:-1]},
     lambda header: {**header, "hyper": {**header["hyper"], "lr": 10**400}},
-], ids=["no-hyper", "list", "str-dim", "float-dim", "missing-block", "huge-lr"])
+    lambda header: {**header, "step": "5"},
+    lambda header: {**header, "params": [{**header["params"][0], "shape": [1]}, *header["params"][1:]]},
+], ids=["no-hyper", "list", "str-dim", "float-dim", "missing-block", "huge-lr", "str-step", "wrong-shape"])
 @pytest.mark.parametrize("command", ["decode", "train-toy"])
 def test_malformed_checkpoint_header_is_a_data_error(tmp_path, capsys, edit, command):
     ckpt = tmp_path / "model.ckpt"

@@ -21,9 +21,7 @@ from graphtransducer import (
     Node,
     PosteriorTensor,
     TopologySpec,
-    build_ctc_like_graph,
     build_lattice,
-    build_monornnt_graph,
     batch_loss_and_grad,
     deserialize,
     enumerate_paths,
@@ -44,7 +42,7 @@ def edge_set(lat):
 
 
 def test_ctc_like_two_distinct_labels():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3))
     assert len(lat.nodes) == 7  # start, blank, a, blank, b, blank, end
     assert [n.label for n in lat.nodes] == ["start", BLANK, 1, BLANK, 2, BLANK, "end"]
     # distinct adjacent labels keep the direct skip edge
@@ -54,22 +52,22 @@ def test_ctc_like_two_distinct_labels():
 
 
 def test_ctc_like_repeated_label_forces_blank():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 1), 2))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 1), 2))
     assert (2, 4) not in edge_set(lat)  # y1 -> y2 removed
     assert (2, 3) in edge_set(lat) and (3, 4) in edge_set(lat)  # only route via the blank
     assert validate(lat) == []
 
 
 def test_empty_label_sequence_is_blank_only():
-    ctc = build_ctc_like_graph(TopologySpec(CTC_LIKE, (), 2))
-    mono = build_monornnt_graph(TopologySpec(MONO_RNNT, (), 2))
+    ctc = build_lattice(TopologySpec(CTC_LIKE, (), 2))
+    mono = build_lattice(TopologySpec(MONO_RNNT, (), 2))
     assert ctc == mono
     assert len(ctc.nodes) == 3
     assert edge_set(ctc) == {(0, 1), (1, 1), (1, 2)}
 
 
 def test_monornnt_no_label_self_loops():
-    lat = build_monornnt_graph(TopologySpec(MONO_RNNT, (1,), 2))
+    lat = build_lattice(TopologySpec(MONO_RNNT, (1,), 2))
     assert (2, 2) not in edge_set(lat)
     assert (1, 1) in edge_set(lat)  # blanks keep their loops
     # exactly two full alignments of length 2: blank-then-a and a-then-blank
@@ -78,13 +76,13 @@ def test_monornnt_no_label_self_loops():
 
 
 def test_monornnt_keeps_skip_edge_for_equal_labels():
-    lat = build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 1), 2))
+    lat = build_lattice(TopologySpec(MONO_RNNT, (1, 1), 2))
     assert (2, 4) in edge_set(lat)
     assert validate(lat) == []
 
 
 def test_state_is_labels_consumed_at_source():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3))
     by_src = {}
     for e in lat.edges:
         if e.state is not None:
@@ -145,7 +143,7 @@ def reference_build(spec):
     if y:
         edges.append(Edge(end - 2, end, 0.0, None))
     edges.append(Edge(end - 1, end, 0.0, None))
-    return Lattice(tuple(nodes), tuple(edges), num_states=len(y) + 1, vocab_size=spec.resolved_vocab())
+    return Lattice(tuple(nodes), tuple(edges), num_states=len(y) + 1, vocab_size=spec.vocab_size)
 
 
 def test_array_builder_matches_object_builder():
@@ -248,13 +246,6 @@ def test_builders_reject_blank_in_labels(kind):
         TopologySpec(kind, (1, 0, 2), 3)
 
 
-def test_builders_reject_wrong_kind():
-    with pytest.raises(InvalidSpecError):
-        build_ctc_like_graph(TopologySpec(MONO_RNNT, (1,), 2))
-    with pytest.raises(InvalidSpecError):
-        build_monornnt_graph(TopologySpec(CTC_LIKE, (1,), 2))
-
-
 def test_spec_rejects_label_outside_vocab():
     with pytest.raises(InvalidSpecError):
         TopologySpec(CTC_LIKE, (3,), 3)
@@ -277,6 +268,14 @@ def test_spec_stores_numpy_vocab_as_int():
     spec = TopologySpec(CTC_LIKE, (1,), np.int64(3))
     assert spec.vocab_size == 3 and type(spec.vocab_size) is int
     assert spec == TopologySpec(CTC_LIKE, (1,), 3)
+
+
+@pytest.mark.parametrize("labels, vocab", [((1, 2), 3), ((2, 1, 2), 3), ((np.int64(4),), 5), ((), 1)])
+def test_spec_stores_an_omitted_vocab_size_as_max_label_plus_one(labels, vocab):
+    spec = TopologySpec(CTC_LIKE, labels)
+    assert spec.vocab_size == vocab and type(spec.vocab_size) is int
+    assert spec == TopologySpec(CTC_LIKE, labels, vocab)
+    assert build_lattice(spec).vocab_size == vocab
 
 
 @pytest.mark.parametrize("labels", [None, 5, 1.5])
@@ -302,8 +301,8 @@ def test_builders_produce_wellformed_lattices(labels, kind):
 @settings(max_examples=60, derandomize=True)
 @given(labels=label_seqs)
 def test_edge_count_relation_between_topologies(labels):
-    ctc = build_ctc_like_graph(TopologySpec(CTC_LIKE, labels, 6))
-    mono = build_monornnt_graph(TopologySpec(MONO_RNNT, labels, 6))
+    ctc = build_lattice(TopologySpec(CTC_LIKE, labels, 6))
+    mono = build_lattice(TopologySpec(MONO_RNNT, labels, 6))
     repeats = sum(1 for a, b in zip(labels, labels[1:]) if a == b)
     assert len(mono.edges) == len(ctc.edges) - len(labels) + repeats
 
@@ -332,7 +331,7 @@ def collapse_ctc(emitted):
 @pytest.mark.parametrize("labels", [(), (1,), (1, 2), (1, 1), (2, 1, 2)])
 @pytest.mark.parametrize("frames", [1, 2, 3, 4, 5, 6])
 def test_every_ctc_path_collapses_to_labels(labels, frames):
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, labels, 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, labels, 3))
     for path in enumerate_paths(lat, frames):
         emitted = [lat.nodes[g].label for g in path.nodes[1:-1]]
         assert collapse_ctc(emitted) == labels
@@ -341,7 +340,7 @@ def test_every_ctc_path_collapses_to_labels(labels, frames):
 @pytest.mark.parametrize("labels", [(), (1,), (1, 2), (1, 1), (2, 1, 2)])
 @pytest.mark.parametrize("frames", [1, 2, 3, 4, 5, 6])
 def test_every_mono_path_emits_labels_once_in_order(labels, frames):
-    lat = build_monornnt_graph(TopologySpec(MONO_RNNT, labels, 3))
+    lat = build_lattice(TopologySpec(MONO_RNNT, labels, 3))
     for path in enumerate_paths(lat, frames):
         emitted = [lat.nodes[g].label for g in path.nodes[1:-1]]
         assert tuple(k for k in emitted if k != BLANK) == labels
@@ -413,6 +412,19 @@ def test_validate_reports_bfs_order_violation():
         vocab=3,
     )
     assert any(v.startswith("id-ordering:") for v in validate(lat))
+
+
+@pytest.mark.parametrize("labels, endpoint, count", [
+    ((BLANK, 1, "end"), "start", 0),
+    (("start", "start", "end"), "start", 2),
+    (("start", 1, BLANK), "end", 0),
+    (("start", "end", "end"), "end", 2),
+])
+def test_a_lattice_needs_exactly_one_start_and_one_end_node(labels, endpoint, count):
+    lat = tiny([Node(i, label) for i, label in enumerate(labels)], [])
+    with pytest.raises(ValueError, match=f"lattice has {count} {endpoint} nodes, expected exactly 1"):
+        getattr(lat, f"{endpoint}_id")
+    assert f"id-ordering: expected exactly one {endpoint} node, found {count}" in validate(lat)
 
 
 def test_validate_reports_misplaced_endpoints():
@@ -519,10 +531,11 @@ def test_serialize_refuses_invalid_lattice():
         (1, 3, "range: edge 3->3 state 1 is not below num_states 1", "edges[3].state"),
         (-1, 3, "range: num_states must be >= 0, is -1", "states"),
         (2, 1, "range: node 2 label 1 is not below vocab_size 1", "nodes[2].label"),
+        (2, 0, "range: vocab_size must be >= 1, is 0", "vocab"),
     ],
 )
 def test_serialize_refuses_what_deserialize_rejects(states, vocab, violation, where):
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1,), 3))
     bad = Lattice(lat.nodes, lat.edges, states, vocab)
     assert validate(bad)[0] == violation
     with pytest.raises(ValueError, match="invalid lattice: range:"):
@@ -536,7 +549,7 @@ def test_serialize_refuses_what_deserialize_rejects(states, vocab, violation, wh
 
 
 def test_deserialize_rejects_missing_end_node():
-    doc = json.loads(serialize(build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))))
+    doc = json.loads(serialize(build_lattice(TopologySpec(CTC_LIKE, (1,), 2))))
     doc["nodes"] = [n for n in doc["nodes"] if n["label"] != "end"]
     doc["edges"] = [e for e in doc["edges"] if e["to"] != 4]
     with pytest.raises(LatticeFormatError, match="end"):
@@ -544,7 +557,7 @@ def test_deserialize_rejects_missing_end_node():
 
 
 def test_deserialize_names_unknown_edge_target():
-    doc = json.loads(serialize(build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))))
+    doc = json.loads(serialize(build_lattice(TopologySpec(CTC_LIKE, (1,), 2))))
     doc["edges"][0]["to"] = 9
     with pytest.raises(LatticeFormatError, match="unknown node id 9"):
         deserialize(json.dumps(doc))
@@ -574,7 +587,7 @@ def test_edge_rejects_nan_and_positive_infinite_weight(weight):
 @pytest.mark.parametrize("weight", [np.float32(-0.5), np.int64(-1), -2, np.float64(-0.25)],
                          ids=["float32", "int64", "int", "float64"])
 def test_edge_stores_a_real_log_weight_as_a_float(weight):
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1,), 2))
     edges = (Edge(0, 1, weight, 0),) + lat.edges[1:]
     built = Lattice(lat.nodes, edges, lat.num_states, lat.vocab_size)
     assert type(built.edges[0].log_weight) is float
@@ -640,14 +653,14 @@ def test_node_rejects_non_integer_id(node_id):
     ("num_states", 2.0), ("num_states", True), ("vocab_size", 2.5), ("vocab_size", "2"),
 ])
 def test_lattice_rejects_non_integer_sizes(field, value):
-    built = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))
+    built = build_lattice(TopologySpec(CTC_LIKE, (1,), 2))
     sizes = {"num_states": built.num_states, "vocab_size": built.vocab_size, field: value}
     with pytest.raises(ValueError, match=f"lattice {field} .* is not an integer"):
         Lattice(built.nodes, built.edges, **sizes)
 
 
 def test_numpy_integer_ids_and_sizes_are_stored_as_ints():
-    built = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))
+    built = build_lattice(TopologySpec(CTC_LIKE, (1,), 2))
     lat = Lattice(
         tuple(Node(np.int64(n.id), n.label) for n in built.nodes),
         tuple(Edge(np.int32(e.src), np.int64(e.dst), e.log_weight, e.state) for e in built.edges),
@@ -664,7 +677,7 @@ def test_numpy_integer_labels_and_states_score_as_ints():
     # validate and give a finite wrong marginal
     spec = TopologySpec(CTC_LIKE, np.array([1]), np.int64(2))
     assert spec.labels == (1,) and type(spec.labels[0]) is int
-    built = build_ctc_like_graph(spec)
+    built = build_lattice(spec)
     lat = Lattice(
         tuple(Node(n.id, n.label if n.label in ("start", "end") else np.int64(n.label))
               for n in built.nodes),
@@ -682,7 +695,7 @@ def test_numpy_integer_labels_and_states_score_as_ints():
 
 @pytest.mark.parametrize("weight, token", [(math.inf, "Infinity"), (math.nan, "NaN")])
 def test_deserialize_rejects_nan_and_positive_infinite_weight(weight, token):
-    doc = json.loads(serialize(build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), 3))))
+    doc = json.loads(serialize(build_lattice(TopologySpec(MONO_RNNT, (1, 2), 3))))
     doc["edges"][2]["logw"] = weight
     text = json.dumps(doc)
     assert f'"logw": {token}' in text
@@ -692,7 +705,7 @@ def test_deserialize_rejects_nan_and_positive_infinite_weight(weight, token):
 
 
 def test_deserialize_rejects_an_integer_weight_too_large_for_a_float():
-    text = serialize(build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2)))
+    text = serialize(build_lattice(TopologySpec(CTC_LIKE, (1,), 2)))
     text = text.replace('"logw": 0.0', f'"logw": {-10**400}', 1)
     with pytest.raises(LatticeFormatError, match="too large for a float") as info:
         deserialize(text)
@@ -712,7 +725,7 @@ def test_deserialize_rejects_an_integer_weight_too_large_for_a_float():
     ],
 )
 def test_deserialize_rejects_bools_and_undeclared_states(path, value, where):
-    doc = json.loads(serialize(build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), 3))))
+    doc = json.loads(serialize(build_lattice(TopologySpec(MONO_RNNT, (1, 2), 3))))
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -723,7 +736,7 @@ def test_deserialize_rejects_bools_and_undeclared_states(path, value, where):
 
 
 def test_deserialize_rejects_what_validate_rejects():
-    doc = json.loads(serialize(build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))))
+    doc = json.loads(serialize(build_lattice(TopologySpec(CTC_LIKE, (1,), 2))))
     doc["edges"][0]["state"] = None  # an emitting edge without a decoder state
     with pytest.raises(LatticeFormatError, match="end-edge") as info:
         deserialize(json.dumps(doc))
@@ -782,7 +795,7 @@ def test_deserialize_fuzz_yields_format_error_or_scorable_lattice(text, frames):
 
 
 def test_dot_output_shape():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3))
     dot = to_dot(lat)
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
     assert dot.count("->") == len(lat.edges)
@@ -790,11 +803,21 @@ def test_dot_output_shape():
         assert f"n{n.id} [" in dot
 
 
+def test_dot_labels_an_edge_with_its_state_and_a_nonzero_weight():
+    lat = tiny(
+        [Node(0, "start"), Node(1, 1), Node(2, "end")],
+        [Edge(0, 1, -0.5, 0), Edge(1, 2, 0.0, None)],
+    )
+    lines = to_dot(lat).splitlines()
+    assert '  n0 -> n1 [label="i=0 logw=-0.5"];' in lines
+    assert "  n1 -> n2;" in lines
+
+
 def test_min_emissions():
-    assert build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3)).min_emissions == 2
-    assert build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 1), 2)).min_emissions == 3
-    assert build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 1), 2)).min_emissions == 2
-    assert build_ctc_like_graph(TopologySpec(CTC_LIKE, (), 2)).min_emissions == 1
+    assert build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3)).min_emissions == 2
+    assert build_lattice(TopologySpec(CTC_LIKE, (1, 1), 2)).min_emissions == 3
+    assert build_lattice(TopologySpec(MONO_RNNT, (1, 1), 2)).min_emissions == 2
+    assert build_lattice(TopologySpec(CTC_LIKE, (), 2)).min_emissions == 1
     # only the unreachable node 2 has an edge into the end node
     cut = tiny(
         [Node(0, "start"), Node(1, 1), Node(2, 1), Node(3, "end")],

@@ -25,9 +25,7 @@ from graphtransducer import (
     backward_vars,
     batch_loss_and_grad,
     brute_force_marginal,
-    build_ctc_like_graph,
     build_lattice,
-    build_monornnt_graph,
     deserialize,
     finite_diff_grad,
     forward_vars,
@@ -59,7 +57,7 @@ NEG_INF = float("-inf")
 
 def ctc_a(vocab=3):
     # nodes: 0 start, 1 blank0, 2 label-a, 3 blank1, 4 end
-    return build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), vocab))
+    return build_lattice(TopologySpec(CTC_LIKE, (1,), vocab))
 
 
 def single_path_lattice(vocab=3):
@@ -125,7 +123,7 @@ def test_backward_one_step_ctc():
 
 
 def test_backward_one_step_mono_has_no_self_loop():
-    lat = build_monornnt_graph(TopologySpec(MONO_RNNT, (1,), 3))
+    lat = build_lattice(TopologySpec(MONO_RNNT, (1,), 3))
     post = rand_post(5, 2, 2, 3)
     beta = backward_vars(lat, post)
     assert beta[1, 2] == pytest.approx(post.logprobs[1, 1, 0], abs=1e-12)
@@ -163,7 +161,7 @@ def test_marginal_rejects_a_frame_index_that_is_not_an_integer(t):
 def test_marginal_rejects_tables_of_another_lattice():
     lat, post = ctc_a(), rand_post(7, 2, 2, 3)
     alpha, beta = forward_vars(lat, post), backward_vars(lat, post)
-    longer = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3))
+    longer = build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3))
     other = PosteriorTensor(np.zeros((2, 3, 3)))
     wide_alpha, wide_beta = forward_vars(longer, other), backward_vars(longer, other)
     with pytest.raises(ValueError, match=r"alpha must have shape \(3, 5\)"):
@@ -218,7 +216,7 @@ def test_states_unused_by_the_lattice_get_zero_gradient():
 
 
 def test_infeasible_length_raises():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 1), 2))  # needs 3 frames
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 1), 2))  # needs 3 frames
     post = rand_post(13, 2, 3, 2)
     with pytest.raises(InfeasibleLengthError) as info:
         loss_and_grad(lat, post)
@@ -228,7 +226,7 @@ def test_infeasible_length_raises():
 
 
 def test_forward_vars_do_not_raise_on_infeasible_length():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 1), 2))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 1), 2))
     post = rand_post(14, 2, 3, 2)
     alpha = forward_vars(lat, post)
     assert alpha[0, 0] == 0.0
@@ -244,7 +242,7 @@ ENTRY_POINTS = [forward_vars, backward_vars, marginal_at_1, log_marginal, loss_a
 
 
 def test_state_count_mismatch_is_an_error():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3))  # states up to 2
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3))  # states up to 2
     post = rand_post(15, 3, 2, 3)
     for entry in ENTRY_POINTS:
         with pytest.raises(ValueError, match="state"):
@@ -252,7 +250,7 @@ def test_state_count_mismatch_is_an_error():
 
 
 def test_vocab_mismatch_is_an_error():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (2,), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (2,), 3))
     post = rand_post(16, 2, 2, 2)
     for entry in ENTRY_POINTS:
         with pytest.raises(ValueError, match="vocab"):
@@ -290,7 +288,7 @@ def test_longer_sequences_against_mono_recursion():
 def test_zero_weight_edge_gives_finite_loss_or_infeasible():
     # -inf is a legal zero-weight edge; cutting any one edge of the lattice
     # must never produce a NaN gradient or a finite wrong marginal
-    text = serialize(build_monornnt_graph(TopologySpec(MONO_RNNT, (1, 2), 3)))
+    text = serialize(build_lattice(TopologySpec(MONO_RNNT, (1, 2), 3)))
     rng = np.random.default_rng(19)
     for cut in range(len(json.loads(text)["edges"])):
         doc = json.loads(text)

@@ -111,6 +111,15 @@ def test_synthetic_task_is_deterministic():
         assert np.array_equal(ua.features, ub.features)
 
 
+@pytest.mark.parametrize("vocab, max_len, message", [
+    (1, 5, "vocab must be at least 2"),
+    (6, 0, "max_len must be at least 1"),
+])
+def test_synthetic_task_rejects_sizes_it_cannot_fill(vocab, max_len, message):
+    with pytest.raises(ValueError, match=message):
+        make_synthetic_task(0, 3, vocab, max_len)
+
+
 def test_synthetic_task_is_feasible_and_blank_free():
     for utt in make_synthetic_task(12, 20, 6, 5):
         assert all(k != 0 for k in utt.labels)
@@ -181,6 +190,11 @@ def test_batch_of_only_infeasible_utterances_raises():
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="no feasible"):
             train_step(m, [short], CTC_LIKE)
+
+
+def test_an_empty_batch_raises():
+    with pytest.raises(ValueError, match="no feasible utterance in batch"):
+        train_step(ToyModel(6, 8, 6, lr=0.1, seed=3), [], CTC_LIKE)
 
 
 @pytest.mark.parametrize("labels", [(6,), (9,), (-1,), (0,), (True,), (2.0,), (1, 2**70)])

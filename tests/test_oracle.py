@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,8 @@ from graphtransducer import (
     SizeLimitError,
     TopologySpec,
     brute_force_marginal,
-    build_ctc_like_graph,
     build_lattice,
-    build_monornnt_graph,
+    decode,
     enumerate_paths,
     finite_diff_grad,
     log_marginal,
@@ -52,22 +53,22 @@ def count_ctc_paths(labels, frames):
 
 
 def test_ctc_a_two_frames_has_three_paths():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1,), 3))
     assert len(enumerate_paths(lat, 2)) == 3
 
 
 def test_mono_a_two_frames_has_two_paths():
-    lat = build_monornnt_graph(TopologySpec(MONO_RNNT, (1,), 3))
+    lat = build_lattice(TopologySpec(MONO_RNNT, (1,), 3))
     assert len(enumerate_paths(lat, 2)) == 2
 
 
 def test_too_few_frames_gives_no_paths():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3))
     assert enumerate_paths(lat, 1) == []
 
 
 def test_paths_have_exact_length_and_no_duplicates():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 2), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 2), 3))
     paths = enumerate_paths(lat, 5)
     assert all(len(p.nodes) == 7 for p in paths)
     assert len({p.nodes for p in paths}) == len(paths)
@@ -75,34 +76,34 @@ def test_paths_have_exact_length_and_no_duplicates():
 
 @pytest.mark.parametrize("labels,frames", [((1,), 4), ((1, 2), 5), ((1, 1), 6), ((), 3)])
 def test_path_count_matches_expanded_dp(labels, frames):
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, labels, 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, labels, 3))
     assert len(enumerate_paths(lat, frames)) == count_ctc_paths(labels, frames)
 
 
 def test_size_guards_refuse():
-    small = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 2))
+    small = build_lattice(TopologySpec(CTC_LIKE, (1,), 2))
     with pytest.raises(SizeLimitError):
         enumerate_paths(small, 9)
-    big = build_ctc_like_graph(TopologySpec(CTC_LIKE, tuple([1, 2] * 4), 3))  # 19 nodes
+    big = build_lattice(TopologySpec(CTC_LIKE, tuple([1, 2] * 4), 3))  # 19 nodes
     with pytest.raises(SizeLimitError):
         enumerate_paths(big, 4)
 
 
 def test_uniform_posterior_marginal_is_path_count_over_k_squared():
     vocab = 4
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), vocab))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1,), vocab))
     post = PosteriorTensor(np.zeros((2, 2, vocab)))
     assert brute_force_marginal(lat, post) == pytest.approx(np.log(3 / vocab**2), abs=1e-12)
 
 
 def test_single_path_brute_force_is_the_path_score():
-    lat = build_monornnt_graph(TopologySpec(MONO_RNNT, (1,), 3))
+    lat = build_lattice(TopologySpec(MONO_RNNT, (1,), 3))
     post = PosteriorTensor(np.random.default_rng(0).normal(0, 1, (1, 2, 3)))
     assert brute_force_marginal(lat, post) == pytest.approx(post.logprobs[0, 0, 1], abs=1e-12)
 
 
 def test_brute_force_raises_on_empty_path_set():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1, 1), 2))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 1), 2))
     post = PosteriorTensor(np.zeros((2, 3, 2)))
     with pytest.raises(InfeasibleLengthError):
         brute_force_marginal(lat, post)
@@ -154,21 +155,21 @@ def test_finite_diff_matches_analytic():
 
 
 def test_finite_diff_rows_sum_to_zero_on_flat_logits():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1,), 3))
     post = PosteriorTensor(np.zeros((2, 2, 3)))
     fd = finite_diff_grad(lat, post, step=1e-5)
     assert np.abs(fd.sum(axis=2)).max() < 1e-9
 
 
 def test_finite_diff_is_exactly_zero_for_unused_states():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1,), 3))
     post = PosteriorTensor(np.random.default_rng(4).normal(0, 1, (2, 4, 3)))
     fd = finite_diff_grad(lat, post, step=1e-5)
     assert np.all(fd[:, 2:, :] == 0.0)
 
 
 def test_finite_diff_rejects_bad_step():
-    lat = build_ctc_like_graph(TopologySpec(CTC_LIKE, (1,), 3))
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1,), 3))
     post = PosteriorTensor(np.zeros((2, 2, 3)))
     with pytest.raises(ValueError, match="positive"):
         finite_diff_grad(lat, post, step=0.0)
@@ -205,6 +206,30 @@ def test_reference_monornnt_infeasible_raises():
         reference_monornnt((1, 2), lp)
 
 
+def test_reference_monornnt_rejects_a_tensor_with_too_few_states():
+    with pytest.raises(ValueError, match="need 3 decoder states, tensor has 2"):
+        reference_monornnt((1, 2), log_softmax(np.zeros((4, 2, 3))))
+
+
+def test_check_gradients_rejects_an_unknown_mutation():
+    with pytest.raises(ValueError, match="unknown mutation 'bogus'"):
+        verify.check_gradients(seed=0, cases=1, mutation="bogus")
+
+
+def test_beam_exactness_fails_on_a_wrong_search(monkeypatch):
+    # one label more than the search found is never the exhaustive best
+    search = decode.beam_search
+
+    def wrong(provider, cfg):
+        prefix, score = search(provider, cfg)
+        return prefix + (1,), score
+
+    monkeypatch.setattr(decode, "beam_search", wrong)
+    result = verify.check_beam_exactness(seed=0, cases=5)
+    assert not result.passed
+    assert result.text.startswith("beam-exactness: FAIL cases=5 mismatches=5 first_mismatch=0 ")
+
+
 def test_ctc_reduction_on_tied_states():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -231,8 +256,8 @@ def test_oracle_checks_catch_a_wrong_production_normalizer(monkeypatch):
     monkeypatch.setattr(posteriors, "_logsumexp", lambda x: exact(x) + 0.25)
     match, _ = verify.check_marginal_oracle(seed=0, cases=20)
     reductions = [
-        verify.check_ctc_reduction(seed=0, cases=10),
-        verify.check_monornnt_reduction(seed=0, cases=10),
+        verify.check_reduction(CTC_LIKE, seed=0, cases=10),
+        verify.check_reduction(MONO_RNNT, seed=0, cases=10),
     ]
     for result in (match, *reductions):
         assert not result.passed
@@ -245,3 +270,22 @@ def test_random_case_rejects_an_unknown_topology_as_the_spec_does():
     with pytest.raises(InvalidSpecError) as info:
         random_case(np.random.default_rng(0), "rnnt", 4, 2, 3)
     assert str(info.value) == str(spec.value)
+    # with no case to draw, check_reduction checks the kind itself
+    with pytest.raises(InvalidSpecError) as info:
+        verify.check_reduction("rnnt", seed=0, cases=0)
+    assert str(info.value) == str(spec.value)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((4, -1, 3), "max_u must be an integer >= 0; got -1"),
+    ((4, 1.5, 3), "max_u must be an integer >= 0; got 1.5"),
+    ((4, True, 3), "max_u must be an integer >= 0; got True"),
+    ((-1, 2, 3), "max_t must be an integer >= 1; got -1"),
+    ((1.5, 2, 3), "max_t must be an integer >= 1; got 1.5"),
+    ((True, 2, 3), "max_t must be an integer >= 1; got True"),
+    ((0, 2, 3), "max_t must be an integer >= 1; got 0"),
+    ((4, 2, 1), "vocab must be at least 2"),
+])
+def test_random_case_rejects_sizes_it_cannot_sample(sizes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        random_case(np.random.default_rng(0), CTC_LIKE, *sizes)

@@ -34,6 +34,16 @@ def test_rejects_wrong_rank(shape):
         PosteriorTensor(np.zeros(shape))
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 3), (2, 0, 3), (2, 3, 0)])
+def test_rejects_a_zero_length_dimension(shape):
+    with pytest.raises(ValueError, match="all logits dimensions must be positive"):
+        PosteriorTensor(np.zeros(shape))
+
+
+def test_repr_names_the_three_sizes():
+    assert repr(PosteriorTensor(np.zeros((4, 3, 2)))) == "PosteriorTensor(frames=4, states=3, vocab=2)"
+
+
 def test_rejects_nonfinite_logits():
     bad = np.zeros((2, 1, 2))
     bad[0, 0, 0] = np.inf
@@ -144,6 +154,23 @@ def test_tensor_round_trip_through_stream():
 def test_read_rejects_bad_magic():
     with pytest.raises(ValueError, match="magic"):
         read_tensor(io.BytesIO(b"NOPE" + b"\x00" * 20))
+
+
+@pytest.mark.parametrize("arr", [np.float64(1.0), np.zeros(0), np.zeros((2, 0))], ids=["rank-0", "0", "2x0"])
+def test_write_rejects_rank_zero_and_zero_dimensions(arr):
+    with pytest.raises(ValueError, match="rank >= 1 with positive dims"):
+        write_tensor(io.BytesIO(), arr)
+
+
+@pytest.mark.parametrize("header, message", [
+    (struct.pack("<4s3I", b"GTCT", 2, 1, 1), "unsupported tensor version 2"),
+    (struct.pack("<4s2I", b"GTCT", 1, 0), "unreasonable tensor rank 0"),
+    (struct.pack("<4s2I", b"GTCT", 1, 9), "unreasonable tensor rank 9"),
+    (struct.pack("<4s4I", b"GTCT", 1, 2, 3, 0), "tensor dims must be positive"),
+], ids=["version", "rank-0", "rank-9", "zero-dim"])
+def test_read_rejects_a_bad_header(header, message):
+    with pytest.raises(ValueError, match=message):
+        read_tensor(io.BytesIO(header + b"\x00" * 64))
 
 
 def test_read_rejects_truncated_payload():
