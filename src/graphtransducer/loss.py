@@ -18,10 +18,12 @@ two disjoint parts.  It is the module's only frame loop:
 their halves of its one table.  :func:`loss_and_grad` is the batch's call
 with one member.  The side-by-side layout is this module's alone: one
 helper writes it, and the batch's scoring core takes the concatenated
-graph with the layout's arrays, so a training step passes the graph that
+graph with the tensors, so a training step passes the graph that
 :func:`~graphtransducer.lattice._build_stack` writes from its label
-sequences and the one tensor that normalizes its layout of logits, and
-makes no lattice.
+sequences and the one tensor that holds its layout of logits, and makes
+no lattice.  The core exponentiates the logits once: one pass per tensor
+gives the log normalizer and writes exp(h - peak) into the buffer that
+becomes the gradient.
 
 The entry points take any :class:`Lattice` that constructs; they do not
 run :func:`~graphtransducer.lattice.validate`, which governs
@@ -141,7 +143,7 @@ def _side_by_side(tables: list[np.ndarray], states: np.ndarray) -> np.ndarray:
     """The (T_b, S_b, K_b) tables side by side on the state axis of one
     zero-filled (max T_b, total S_b, max K_b) buffer, left-aligned in time:
     table b takes frames ``:T_b`` of state columns ``states[b]:states[b + 1]``.
-    The batch's one layout, for logits and for their ``lse`` alike."""
+    The batch's one layout of logits; a training step's tensor holds it."""
     frames, width = max(len(table) for table in tables), max(table.shape[2] for table in tables)
     out = np.zeros((frames, states[-1], width))
     for table, lo, hi in zip(tables, states, states[1:]):
@@ -149,18 +151,37 @@ def _side_by_side(tables: list[np.ndarray], states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked(pairs: list[tuple[Lattice, PosteriorTensor]]):
-    """The pairs as one :class:`_Stack`, their tensors' ``logits`` and
-    ``lse`` laid out by :func:`_side_by_side` on its state axis, and each
-    member's vocabulary size: the arguments of :func:`_stack_loss_and_grad`.
-    A lone tensor is read where it lies, not copied."""
-    stack, posts = _stack(pairs), [post for _, post in pairs]
+def _single(lat: Lattice, post: PosteriorTensor):
+    """The one pair's stack and its edge scores (:func:`_edge_scores`),
+    read from the tensor's own ``logits`` and ``lse``."""
+    stack = _stack([(lat, post)])
+    return stack, _edge_scores(stack, post.logits, post.lse, [post.vocab_size])
+
+
+def _exponentials(stack: _Stack, posts: list[PosteriorTensor]):
+    """The layout's ``logits``, and from one fused pass per tensor
+    (:meth:`PosteriorTensor._normalize`) the buffer that becomes the
+    gradient holding exp(h - peak), with ``lse`` and the row sums
+    ``total`` of the layout, shape (rows, total S_b, 1).
+
+    ``posts`` holds one tensor per member, which
+    :func:`_side_by_side` lays out, or one tensor that already holds the
+    layout, as a training step's does; a lone tensor is read where it
+    lies, not copied.  Each member's pass runs over its own tensor into
+    its region of the layout, so no pad enters a row's peak or sum.  Pad
+    cells keep exponentials 0, ``lse`` 0 and ``total`` 1, so their
+    gradient comes out 0 with no floating-point warning."""
     if len(posts) == 1:
-        logits, lse = posts[0].logits, posts[0].lse
-    else:
-        logits = _side_by_side([post.logits for post in posts], stack.states)
-        lse = _side_by_side([post.lse for post in posts], stack.states)
-    return stack, logits, lse, [post.vocab_size for post in posts]
+        logits = posts[0].logits
+        exps = np.empty(logits.shape)
+        return logits, exps, *posts[0]._normalize(exps)
+    logits = _side_by_side([post.logits for post in posts], stack.states)
+    exps = np.zeros(logits.shape)
+    lse, total = np.zeros(logits.shape[:2] + (1,)), np.ones(logits.shape[:2] + (1,))
+    for post, lo, hi in zip(posts, stack.states, stack.states[1:]):
+        rows = slice(post.num_frames), slice(lo, hi)
+        lse[rows], total[rows] = post._normalize(exps[rows + (slice(post.vocab_size),)])
+    return logits, exps, lse, total
 
 
 def _edge_scores(stack: _Stack, logits: np.ndarray, lse: np.ndarray, vocabs: list[int]) -> np.ndarray:
@@ -251,8 +272,7 @@ def forward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     the loop that fills logBeta too (:func:`_sweep`), and is the logAlpha
     half of that joint table as a view.
     """
-    stack, *layout = _stacked([(lat, post)])
-    return _sweep(stack, _edge_scores(stack, *layout))[:, :lat.num_nodes]
+    return _sweep(*_single(lat, post))[:, :lat.num_nodes]
 
 
 def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
@@ -266,8 +286,7 @@ def backward_vars(lat: Lattice, post: PosteriorTensor) -> np.ndarray:
     -inf.  It comes from the loop that fills logAlpha too (:func:`_sweep`),
     and is the logBeta half of that joint table as a view, reversed in time.
     """
-    stack, *layout = _stacked([(lat, post)])
-    return _sweep(stack, _edge_scores(stack, *layout))[::-1, lat.num_nodes:]
+    return _sweep(*_single(lat, post))[::-1, lat.num_nodes:]
 
 
 def marginal(
@@ -298,8 +317,8 @@ def log_marginal(lat: Lattice, post: PosteriorTensor) -> float:
     :class:`InfeasibleLengthError` when it is -inf, that is when no
     alignment of length T exists or every one crosses a zero-weight edge.
     It is read from the logAlpha half of the joint table (:func:`_sweep`)."""
-    stack, *layout = _stacked([(lat, post)])
-    (outcome,) = _log_marginals(stack, _sweep(stack, _edge_scores(stack, *layout)))
+    stack, scores = _single(lat, post)
+    (outcome,) = _log_marginals(stack, _sweep(stack, scores))
     if isinstance(outcome, InfeasibleLengthError):
         raise outcome
     return outcome
@@ -350,10 +369,12 @@ def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
     logits and their log normalizer, in one (T, E) array.  One frame loop
     reads it over the lattice and its reverse at once, as one graph of two
     disjoint parts, and fills logAlpha and logBeta; the array then becomes
-    the occupancy buffer.  The softmax p is formed once,
-    as exp(logits - lse) in the gradient's own buffer, which the
-    occupancies then scale in place; the (T, S, V) log-softmax is never
-    written.  This is :func:`batch_loss_and_grad` of the one pair.
+    the occupancy buffer.  The logits are exponentiated once: the pass
+    that gives their log normalizer, lse = peak + log(total) with
+    total = sum_k exp(h - peak), writes exp(h - peak) into the gradient's
+    own buffer, and p = exp(h - peak) / total comes out of the one
+    in-place scale by occ(t, i) / total; the (T, S, V) log-softmax is
+    never written.  This is :func:`batch_loss_and_grad` of the one pair.
     """
     (outcome,) = batch_loss_and_grad([(lat, post)])
     if isinstance(outcome, InfeasibleLengthError):
@@ -382,35 +403,39 @@ def batch_loss_and_grad(
     pairs = list(pairs)
     if not pairs:
         return []
-    return _stack_loss_and_grad(*_stacked(pairs))
+    posts = [post for _, post in pairs]
+    return _stack_loss_and_grad(_stack(pairs), posts, [post.vocab_size for post in posts])
 
 
 def _stack_loss_and_grad(
-    stack: _Stack, logits: np.ndarray, lse: np.ndarray, vocabs: list[int]
+    stack: _Stack, posts: list[PosteriorTensor], vocabs: list[int]
 ) -> list[LossResult | InfeasibleLengthError]:
-    """:func:`batch_loss_and_grad` of the stack's members against the
-    ``logits`` and ``lse`` of their tensors, laid side by side on the
-    state axis by :func:`_side_by_side` or a lone tensor's own arrays:
-    member b takes frames :T_b of state columns states[b]:states[b + 1],
-    and labels :V_b with V_b = ``vocabs[b]``.
+    """:func:`batch_loss_and_grad` of the stack's members against their
+    tensors ``posts``: one per member, laid side by side on the state
+    axis by :func:`_side_by_side`, or one tensor that already holds that
+    layout: member b takes frames :T_b of state columns
+    states[b]:states[b + 1], and labels :V_b with V_b = ``vocabs[b]``.
     :func:`~graphtransducer.model.train_step` passes the stack that
     :func:`~graphtransducer.lattice._build_stack` writes from its labels,
-    with the arrays of the one tensor that normalizes its logits.
+    with the one tensor of its logits.
 
-    One gather reads every edge score into one (max T_b, total E) array,
+    First one pass per tensor (:func:`_exponentials`) gives ``lse`` and
+    the row sums ``total``, and writes exp(h - peak) into the gradient
+    buffer.  One gather reads every edge score into one (max T_b, total E) array,
     -inf past each member's own T_b.  One frame loop fills logAlpha and
     logBeta for every member (:func:`_sweep`): each member reads its log
     marginal from logAlpha row T_b, and the loop writes the member's
-    terminal weights into logBeta row T_b before it reads that row.  The log marginals come
-    from one gather of logAlpha at every member's end edges and one
+    terminal weights into logBeta row T_b before it reads that row.  The
+    log marginals come from one gather of logAlpha at every member's end edges and one
     log-sum-exp per distinct end-edge count.  Every member goes through
     the occupancy pass; an infeasible member's log P is taken as +inf
     there, so its occupancies come out exactly 0, never NaN.  The
     occupancies are grouped once over (state column, label) keys, and one
-    exp(logits - lse) over the layout, scaled in place, gives every
-    gradient; a member's ``grad`` is the view
-    [:T_b, states[b]:states[b + 1], :V_b] of it.
+    in-place scale of the exponentials by occ(t, i) / total, then the
+    scatter of occ(t, i, k), gives every gradient; a member's ``grad`` is
+    the view [:T_b, states[b]:states[b + 1], :V_b] of it.
     """
+    logits, grad, lse, total = _exponentials(stack, posts)
     scores = _edge_scores(stack, logits, lse, vocabs)
     table = _sweep(stack, scores)
     alpha, beta = table[:, :stack.nodes[-1]], table[::-1, stack.nodes[-1]:]
@@ -430,11 +455,9 @@ def _stack_loss_and_grad(
     occ_pair = _group_columns(occ, pair_of_edge, pair_keys.size)
     occ_state = _group_columns(occ_pair, pair_column, stack.states[-1])
 
-    # exp(logits - lse) * occ(t, i) - occ(t, i, k) for the whole batch at once;
-    # cells past a member's frames or vocabulary are never returned
-    grad = np.subtract(logits, lse)
-    np.exp(grad, out=grad)
-    grad *= occ_state[:, :, None]
+    # exp(h - peak) * (occ(t, i) / total) - occ(t, i, k) for the whole batch
+    # at once; cells past a member's frames or vocabulary are never returned
+    grad *= occ_state[:, :, None] / total
     grad[:, pair_column, pair_label] -= occ_pair
     for b, vocab in enumerate(vocabs):
         if isinstance(outcomes[b], float):

@@ -123,12 +123,12 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     one :func:`~graphtransducer.lattice._build_stack` pass over the label
     sequences, with no lattice or spec per utterance.  The loss's layout
     (:func:`~graphtransducer.loss._side_by_side`) puts the logits side by
-    side on that graph's state axis, in one zero-filled buffer, and one
-    :class:`PosteriorTensor` normalizes it, so one normalizer pass serves
-    the batch.  The loss core that :func:`batch_loss_and_grad` runs scores
-    the members in that tensor's arrays and forms their gradients in one
-    buffer of the same layout; each member's gradient is a view of it, so
-    keeping one keeps the whole buffer alive.  The gradients are
+    side on that graph's state axis, in one zero-filled buffer, which one
+    :class:`PosteriorTensor` holds.  The loss core that
+    :func:`batch_loss_and_grad` runs takes that tensor, so one pass over
+    it gives the batch's log normalizer and the exponentials that become
+    the gradients, in one buffer of the same layout; each member's
+    gradient is a view of it, so keeping one keeps the whole buffer alive.  The gradients are
     backpropagated and summed per utterance in batch order.  A label that is not an integer in
     1..vocab_size - 1 raises :class:`~graphtransducer.lattice.InvalidSpecError`.
     Utterances whose frame count cannot realize their labels under the
@@ -140,7 +140,7 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     # idx[1:] holds the utterance's checked labels as int64
     stack = _build_stack(kind, [idx[1:] for _, idx, _ in acts], [len(feats) for feats, _, _ in acts])
     post = PosteriorTensor(_side_by_side([act @ model.join_w.T for _, _, act in acts], stack.states))
-    results = _stack_loss_and_grad(stack, post.logits, post.lse, [model.vocab_size] * len(batch))
+    results = _stack_loss_and_grad(stack, [post], [model.vocab_size] * len(batch))
     losses = []
     total = {name: np.zeros_like(p) for name, p in model.params().items()}
     for i, (result, (feats, idx, act)) in enumerate(zip(results, acts)):

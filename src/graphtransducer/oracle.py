@@ -6,13 +6,16 @@ marginal is recomputed by exhaustive path enumeration from the raw logits
 through the oracle's own :func:`log_softmax`, gradients by central finite
 differences through that enumeration, and the two reduction references
 (plain CTC and the monotonic two-index recursion) are written as direct
-indexed loops.  Hard size guards refuse exponential work instead of
-attempting it.
+indexed loops.  :func:`decimal_softmax` evaluates a softmax in the
+standard library's ``decimal`` at 40 digits, so the rounding of a float
+one can be measured in ulps (:func:`ulp_error`).  Hard size guards refuse
+exponential work instead of attempting it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -24,6 +27,9 @@ MAX_FRAMES = 8
 MAX_NODES = 16
 
 NEG_INF = float("-inf")
+
+# significant digits of decimal_softmax, far past float64's 17
+_DECIMAL_DIGITS = 40
 
 
 class SizeLimitError(ValueError):
@@ -104,6 +110,37 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     oracle's own normalizer, so a fault in the production one shows."""
     peak = logits.max(axis=-1, keepdims=True)
     return logits - (peak + np.log(np.exp(logits - peak).sum(axis=-1, keepdims=True)))
+
+
+def decimal_softmax(logits: np.ndarray) -> list[list[Decimal]]:
+    """The softmax of each row of a 2-D array, in ``decimal`` at
+    ``_DECIMAL_DIGITS`` significant digits.  Each float converts to a Decimal exactly, and the
+    exponentials, their sum and the quotients are all Decimal, so no
+    float64 rounding enters.  It costs tens of microseconds per entry, so
+    it suits a few rows, not a whole tensor."""
+    rows = np.asarray(logits, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError(f"logits must be 2-D (rows, labels); got shape {rows.shape}")
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        out = []
+        for row in rows.tolist():
+            exps = [Decimal(h).exp() for h in row]
+            total = sum(exps)
+            out.append([e / total for e in exps])
+    return out
+
+
+def ulp_error(values: np.ndarray, exact: list[list[Decimal]]) -> np.ndarray:
+    """|value - exact| for each entry of a 2-D float array against the
+    same-shaped Decimal one, in units in the last place of the float
+    nearest the exact value.  The difference is taken in Decimal."""
+    rows = np.asarray(values, dtype=np.float64)
+    out = np.empty(rows.shape)
+    for (i, j), value in np.ndenumerate(rows):
+        want = exact[i][j]
+        out[i, j] = float(abs(Decimal(value) - want) / Decimal(float(np.spacing(float(want)))))
+    return out
 
 
 def brute_force_marginal(lat: Lattice, post: PosteriorTensor) -> float:

@@ -16,41 +16,56 @@ TENSOR_VERSION = 1
 NEG_INF = float("-inf")
 _LOWEST = -np.finfo(np.float64).max  # no finite float is lower
 
-# bytes of logits per block of frames in the constructor's normalizer pass
+# bytes of logits per block of frames in a pass over a tensor
 _BLOCK_BYTES = 512 * 1024
 # largest single read of a tensor file's payload
 _READ_CHUNK_BYTES = 1 << 20
 
 
-def _logsumexp(x: np.ndarray) -> np.ndarray:
+def _logsumexp(x: np.ndarray, exps: np.ndarray | None = None,
+               total: np.ndarray | None = None) -> np.ndarray:
     """log(sum(exp(x))) over the last axis, which is kept with length 1.
 
     The row peak is shifted out first, so large magnitudes neither
     overflow nor underflow.  Peaks start at ``_LOWEST``, not -inf, so a
     row with a finite entry gets its own maximum and no shift computes
     -inf - -inf; a row that is empty or all -inf sums to 0 and gives -inf
-    without a floating-point warning.
+    without a floating-point warning.  ``exps`` and ``total``, when given,
+    receive the exponentials exp(x - peak) and their row sums, which the
+    result is the log of plus the peak; without them both are temporaries.
     """
     peak = np.max(x, axis=-1, keepdims=True, initial=_LOWEST)
-    shifted = np.subtract(x, peak)
-    total = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
+    shifted = np.subtract(x, peak, out=exps)
+    total = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True, out=total)
     return peak + np.log(total, out=np.full_like(total, NEG_INF), where=total > 0.0)
+
+
+def _blocks(logits: np.ndarray) -> list[slice]:
+    """The frame slices of the blocks a pass over ``logits`` takes: about
+    ``_BLOCK_BYTES`` of logits each, and at least one frame."""
+    step = max(1, _BLOCK_BYTES // logits[0].nbytes)
+    return [slice(lo, lo + step) for lo in range(0, len(logits), step)]
 
 
 class PosteriorTensor:
     """Label scores indexed (frame t, decoder state i, label k).
 
-    ``logits`` holds the raw scores h[t, i, k] and ``lse`` their log
-    normalizer logsumexp_k h[t, i, k], shape (T, S, 1).  Both are
-    read-only: ``lse`` is computed once, from ``logits``, so a write to
-    either would give a finite wrong loss.  The constructor does not copy
-    an input that is already C-contiguous float64, so ``logits`` is a view
-    of it and the caller must not write to it afterwards.  ``logprobs``,
-    the log-softmax ``logits - lse`` whose (t, i) rows each sum to one in
-    probability space, is built on first read and then kept; the loss reads
-    ``logits`` and ``lse`` only, so it never builds it.  Frames are 1-based
-    in the math and 0-based in the arrays: row ``logprobs[t - 1, i]``
-    scores frame t.
+    ``logits`` holds the raw scores h[t, i, k], and ``lse`` their log
+    normalizer logsumexp_k h[t, i, k], shape (T, S, 1).  The constructor
+    checks the shape and that every logit is finite, a block of frames at
+    a time, so a bad tensor raises there; a -inf logit would not show in
+    ``lse``.  It does not copy an input that is already C-contiguous
+    float64, so ``logits`` is a view of it and the caller must not write
+    to it afterwards.  ``lse`` comes from the first pass that needs it:
+    the loss's pass, which also writes the exponentials that become its
+    gradient, or an ``lse``-only pass on the first read of ``lse``.  Both
+    run :func:`_logsumexp` over the same blocks, so ``lse`` has the same
+    bits either way.  Both arrays are read-only, as a write to either would
+    give a finite wrong loss.  ``logprobs``, the log-softmax
+    ``logits - lse`` whose (t, i) rows each sum to one in probability
+    space, is built on first read and then kept; the loss never builds it.
+    Frames are 1-based in the math and 0-based in the arrays: row
+    ``logprobs[t - 1, i]`` scores frame t.
 
     One tensor can hold a whole batch side by side on the state axis, as
     :func:`~graphtransducer.model.train_step` lays out its logits, so one
@@ -63,19 +78,34 @@ class PosteriorTensor:
             raise ValueError(f"logits must have shape (T, states, vocab); got {logits.shape}")
         if min(logits.shape) < 1:
             raise ValueError(f"all logits dimensions must be positive; got {logits.shape}")
-        # a block of frames at a time, so the temporaries stay in cache; the
-        # finite check stays, as a -inf logit would not show in lse
-        step = max(1, _BLOCK_BYTES // logits[0].nbytes)
-        lse = np.empty(logits.shape[:2] + (1,))
-        for lo in range(0, len(logits), step):
-            block = logits[lo:lo + step]
-            if not np.all(np.isfinite(block)):
+        for rows in _blocks(logits):
+            if not np.isfinite(logits[rows]).all():
                 raise ValueError("logits must be finite")
-            lse[lo:lo + step] = _logsumexp(block)
         self.logits = logits.view()
         self.logits.flags.writeable = False
-        lse.flags.writeable = False
-        self.lse = lse
+        self._lse: np.ndarray | None = None
+
+    @property
+    def lse(self) -> np.ndarray:
+        if self._lse is None:
+            self._normalize()
+        return self._lse
+
+    def _normalize(self, exps: np.ndarray | None = None):
+        """``(lse, total)`` from one pass over the logits, a block of frames
+        at a time so the temporaries stay in cache.  With ``exps``, an
+        array of the logits' shape, exp(h - peak) is written there and
+        ``total`` holds its row sums; without it ``total`` is None.  The
+        first pass keeps its ``lse``."""
+        lse = np.empty(self.logits.shape[:2] + (1,))
+        total = None if exps is None else np.empty_like(lse)
+        for rows in _blocks(self.logits):
+            outs = () if exps is None else (exps[rows], total[rows])
+            lse[rows] = _logsumexp(self.logits[rows], *outs)
+        if self._lse is None:
+            lse.flags.writeable = False
+            self._lse = lse
+        return lse, total
 
     @cached_property
     def logprobs(self) -> np.ndarray:

@@ -36,10 +36,12 @@ class CheckResult:
 def random_case(rng: np.random.Generator, kind: str, max_t: int, max_u: int, vocab: int):
     """One random lattice with a feasible frame count and random logits.
 
-    Resamples the label sequence when its shortest alignment exceeds
-    ``max_t``; the empty sequence needs one frame, so any max_t >= 1 always
-    finds a case.  ``max_t`` must be an integer >= 1 and ``max_u`` an
-    integer >= 0.
+    Resamples the label sequence, of 0 to ``max_u`` labels, when its
+    shortest alignment exceeds ``max_t``, up to 1000 draws; then it raises
+    :class:`InfeasibleLengthError` with ``frames`` = max_t and the last
+    draw's ``min_frames``.  The empty sequence needs one frame, so a small
+    max_t with a large max_u can run out of draws.  ``max_t`` must be an
+    integer >= 1 and ``max_u`` an integer >= 0.
     """
     _check_kind(kind)
     if vocab < 2:

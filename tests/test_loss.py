@@ -41,11 +41,11 @@ from graphtransducer import (
 )
 from graphtransducer.loss import (
     _edge_scores,
+    _exponentials,
     _scatter_logsumexp,
     _side_by_side,
     _stack,
     _stack_loss_and_grad,
-    _stacked,
     _sweep,
 )
 from graphtransducer.oracle import log_softmax
@@ -488,7 +488,7 @@ def test_packed_members_equal_their_own_tensors_bit_for_bit(batch):
     # train_step packs them, scored by the core against their own tensors
     stack = _stack(batch)
     pack = PosteriorTensor(_side_by_side([post.logits for _, post in batch], stack.states))
-    outcomes = _stack_loss_and_grad(stack, pack.logits, pack.lse, [post.vocab_size for _, post in batch])
+    outcomes = _stack_loss_and_grad(stack, [pack], [post.vocab_size for _, post in batch])
     for (lat, post), lo, hi, outcome in zip(batch, stack.states, stack.states[1:], outcomes):
         assert np.array_equal(pack.lse[:post.num_frames, lo:hi], post.lse)
         try:
@@ -499,6 +499,54 @@ def test_packed_members_equal_their_own_tensors_bit_for_bit(batch):
             continue
         assert outcome.loss == alone.loss and outcome.log_marginal == alone.log_marginal
         assert outcome.grad.shape == alone.grad.shape and np.array_equal(outcome.grad, alone.grad)
+
+
+# frames of 3 states by 50 labels in one block of a pass over a tensor
+STEP = _BLOCK_BYTES // (3 * 50 * 8)
+
+
+@st.composite
+def block_batches(draw):
+    """1 to 3 tensors of mixed vocabularies, with frame counts at, just
+    either side of, and past three blocks of 3 states by 50 labels, at
+    logit scales 0.1 to 100, each with a lattice of its state count."""
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        states, vocab = draw(st.integers(1, 3)), draw(st.sampled_from([2, 7, 50]))
+        frames = draw(st.sampled_from([1, STEP - 1, STEP, STEP + 1, 3 * STEP + 2]))
+        scale = draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        logits = rng.normal(0, scale, (frames, states, vocab)) + rng.normal(0, scale, (frames, states, 1))
+        lat = build_lattice(TopologySpec(CTC_LIKE, (1,) * (states - 1), vocab))
+        batch.append((lat, PosteriorTensor(logits)))
+    return batch
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(block_batches())
+def test_the_fused_pass_gives_lse_bit_for_bit_and_the_softmax_within_its_rounding(batch):
+    stack, posts = _stack(batch), [post for _, post in batch]
+    logits, exps, lse, total = _exponentials(stack, posts)
+    outside = np.ones(exps.shape, dtype=bool)
+    for post, lo, hi in zip(posts, stack.states, stack.states[1:]):
+        rows = slice(post.num_frames), slice(lo, hi)
+        # the lse-only pass of a fresh tensor, with the tensor's kept lse
+        alone = PosteriorTensor(post.logits).lse
+        assert np.array_equal(lse[rows], alone) and np.array_equal(post.lse, alone)
+        assert np.array_equal(logits[rows + (slice(post.vocab_size),)], post.logits)
+        got = exps[rows + (slice(post.vocab_size),)] / total[rows]
+        want = np.exp(post.logits - alone)
+        # rounding of lse, h - lse and h - peak, and of the sum and quotient,
+        # in ulps of p, with a factor 2 to spare
+        h = post.logits
+        peak = h.max(axis=-1, keepdims=True)
+        budget = np.abs(alone) + np.abs(h - alone) + np.abs(h - peak) + 4 * np.log2(post.vocab_size) + 6
+        assert np.all(np.abs(got - want) <= 2 * budget * np.spacing(got))
+        outside[rows + (slice(post.vocab_size),)] = False
+    # pad cells give a zero gradient with no warning: exponentials 0, total 1
+    if len(posts) > 1:
+        assert not exps[outside].any()
+        assert np.all(total[outside.all(axis=2)] == 1.0) and not lse[outside.all(axis=2)].any()
 
 
 def _per_direction_logsumexp(values, index, size):
@@ -518,9 +566,12 @@ def _per_direction_sweep(table, scores, gather, scatter):
 
 
 def stacked_scores(batch):
-    """The batch as one stack, and its edge scores as the loss gathers them."""
-    stack, *layout = _stacked(batch)
-    return stack, _edge_scores(stack, *layout)
+    """The batch as one stack, and its edge scores as the loss gathers them
+    from the members' logits and ``lse`` laid out side by side."""
+    stack, posts = _stack(batch), [post for _, post in batch]
+    logits, lse = (_side_by_side([getattr(post, name) for post in posts], stack.states)
+                   for name in ("logits", "lse"))
+    return stack, _edge_scores(stack, logits, lse, [post.vocab_size for post in posts])
 
 
 def per_direction_tables(stack, scores):
@@ -630,7 +681,7 @@ def test_a_packs_members_are_not_copied():
     stack = _stack([(lat, PosteriorTensor(table)) for lat, table in zip(lats, tables)])
     # one tensor normalizes the layout and the core reads it, as in train_step
     pack = PosteriorTensor(_side_by_side(tables, stack.states))
-    peak = traced_peak(lambda: _stack_loss_and_grad(stack, pack.logits, pack.lse, [100, 100]))
+    peak = traced_peak(lambda: _stack_loss_and_grad(stack, [pack], [100, 100]))
     assert peak < 1.5 * pack.logits.nbytes
 
 
@@ -645,8 +696,8 @@ def test_a_training_steps_tensors_are_freed_without_the_cyclic_collector(monkeyp
         made.append(weakref.ref(pack))
         return pack
 
-    def scoring(stack, logits, lse, vocabs):
-        outcomes = _stack_loss_and_grad(stack, logits, lse, vocabs)
+    def scoring(stack, posts, vocabs):
+        outcomes = _stack_loss_and_grad(stack, posts, vocabs)
         # every member's grad is a view of the step's one gradient buffer
         buffers.append(weakref.ref(outcomes[0].grad.base))
         return outcomes

@@ -358,8 +358,10 @@ def test_training_curve_is_smoothly_nonincreasing():
     assert np.all(np.diff(smoothed[50:]) <= 1e-9)
 
 
-# losses of the per-utterance loss loop, which the batched loss reproduces bit for bit
-PINNED_LOSSES = {
+# losses of the per-utterance loss loop, which the batched loss reproduced
+# bit for bit, from when the gradient's softmax was exp(h - lse); the
+# softmax is now exp(h - peak) / total, which rounds differently
+PARENT_LOSSES = {
     CTC_LIKE: [
         9.735075841003399, 5.659921697483734, 4.239732467716932, 3.493651722356577,
         2.7839077395340723, 2.190763138277808, 1.701734994759993, 1.3177995597674967,
@@ -376,12 +378,34 @@ PINNED_LOSSES = {
     ],
 }
 
+# the same trajectory with the softmax exp(h - peak) / total
+PINNED_LOSSES = {
+    CTC_LIKE: [
+        9.735075841003399, 5.659921697483733, 4.239732467716932, 3.4936517223565766,
+        2.7839077395340732, 2.190763138277808, 1.7017349947599931, 1.3177995597674967,
+        1.0333735978166367, 0.8314247094939875, 0.6885533832734231, 0.585020013052904,
+        0.5074411749537586, 0.4471648180944906, 0.3984481916452177, 0.35730218640223393,
+        0.32097167806324645, 0.2879296504716384, 0.25794442114922655, 0.2315264634450489,
+    ],
+    MONO_RNNT: [
+        12.500066014182, 5.543900212030435, 5.1256278731291856, 4.890584458497704,
+        5.100560654704502, 5.539874138712895, 6.131284894741567, 4.051679709239244,
+        4.105949641293654, 3.2216638173492433, 3.2084524233690424, 2.799429745012811,
+        2.79132082055846, 2.465351583445842, 2.4202189908321428, 2.1243617086900906,
+        2.0295726057964876, 1.7792788363264787, 1.6582552080809907, 1.4669545758389118,
+    ],
+}
+
 
 @pytest.mark.parametrize("kind", [CTC_LIKE, MONO_RNNT])
 def test_training_trajectory_is_pinned(kind):
     data = make_synthetic_task(7, 20, 6, 5)
     m = ToyModel(6, 32, 6, lr=0.3, seed=7)
-    assert [train_step(m, data, kind) for _ in range(20)] == PINNED_LOSSES[kind]
+    losses = [train_step(m, data, kind) for _ in range(20)]
+    assert losses == PINNED_LOSSES[kind]
+    # the softmax's rounding moved no step more than this from the old pins
+    for got, parent in zip(losses, PARENT_LOSSES[kind]):
+        assert abs(got - parent) <= 1e-13 * abs(parent)
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):

@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from graphtransducer import (
     reference_monornnt,
     verify,
 )
-from graphtransducer.oracle import log_softmax
+from graphtransducer import oracle
+from graphtransducer.oracle import decimal_softmax, log_softmax, ulp_error
 from graphtransducer.verify import random_case
 
 
@@ -289,3 +291,30 @@ def test_random_case_rejects_an_unknown_topology_as_the_spec_does():
 def test_random_case_rejects_sizes_it_cannot_sample(sizes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         random_case(np.random.default_rng(0), CTC_LIKE, *sizes)
+
+
+def test_random_case_raises_when_its_draws_run_out():
+    # with one frame only the empty sequence fits, and 1000 draws of 0..1000
+    # labels can all miss it; the error names the last draw's shortest path
+    with pytest.raises(InfeasibleLengthError) as info:
+        random_case(np.random.default_rng(6), CTC_LIKE, 1, 1000, 3)
+    assert (info.value.frames, info.value.min_frames) == (1, 1291)
+
+
+def test_oracle_logsumexp_of_all_neg_inf_is_neg_inf():
+    assert oracle._logsumexp(np.full(3, -np.inf)) == -np.inf
+
+
+def test_decimal_softmax_rows_sum_to_one_at_its_precision():
+    rows = np.array([[0.0, 0.0, 0.0, 0.0], [1.5, -2.0, 30.0, 0.25]])
+    probs = decimal_softmax(rows)
+    assert probs[0] == [Decimal("0.25")] * 4
+    for row in probs:
+        assert abs(sum(row) - 1) < Decimal("1e-38")
+    # 1 / 3 is no float; its nearest float is within half an ulp
+    third = decimal_softmax(np.zeros((1, 3)))
+    assert ulp_error(np.full((1, 3), 1.0 / 3.0), third).max() <= 0.5
+    assert ulp_error(np.full((1, 3), np.nextafter(1.0 / 3.0, 1.0)), third).min() > 0.5
+    with pytest.raises(ValueError, match="2-D"):
+        decimal_softmax(np.zeros(3))
+

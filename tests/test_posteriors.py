@@ -74,6 +74,20 @@ def test_blocked_normalizer_equals_dense_bit_for_bit(frames, states, vocab):
     assert post.lse.shape == (frames, states, 1)
     assert np.array_equal(post.lse, dense)
     assert np.array_equal(post.logprobs, logits - dense)
+    # the loss's fused pass: the same lse, and the dense routine's exponentials
+    exps, dense_exps, dense_total = np.empty(logits.shape), np.empty(logits.shape), np.empty(dense.shape)
+    lse, total = PosteriorTensor(logits)._normalize(exps)
+    assert np.array_equal(lse, dense) and np.array_equal(_logsumexp(logits, dense_exps, dense_total), dense)
+    assert np.array_equal(exps, dense_exps) and np.array_equal(total, dense_total)
+
+
+def test_lse_is_kept_from_the_first_pass_and_read_only():
+    post = PosteriorTensor(np.random.default_rng(4).normal(0, 1, (4, 2, 3)))
+    assert post._lse is None
+    lse, _ = post._normalize(np.empty(post.logits.shape))
+    assert post.lse is lse and post.lse is post.lse
+    with pytest.raises(AttributeError):
+        post.lse = lse
 
 
 def _logsumexp_with_zeroed_peaks(x):
