@@ -9,21 +9,22 @@ underflows double precision otherwise.
 
 Every operation is a pure function of its arguments, so lattices can be
 reused freely.  :func:`batch_loss_and_grad` scores a batch of distinct
-utterances together: it concatenates their lattices into one graph, lays
-their tensors side by side on the state axis, and runs one frame loop
-and one gradient pass for the whole batch.  That loop fills logAlpha and
-logBeta together: it runs over the graph and its reverse as one graph of
-two disjoint parts.  It is the module's only frame loop:
+utterances together, one group per vocabulary size: it concatenates a
+group's lattices into one graph, lays its tensors side by side on the
+state axis in one tensor, and runs one frame loop and one gradient pass
+for the group.  That loop fills logAlpha and logBeta together: it runs
+over the graph and its reverse as one graph of two disjoint parts.  It
+is the module's only frame loop:
 :func:`forward_vars`, :func:`backward_vars` and :func:`log_marginal` read
 their halves of its one table.  :func:`loss_and_grad` is the batch's call
 with one member.  The side-by-side layout is this module's alone: one
-helper writes it, and the batch's scoring core takes the concatenated
-graph with the tensors, so a training step passes the graph that
+helper writes it, and the scoring core takes the concatenated graph with
+one tensor of one vocabulary, so a training step passes the graph that
 :func:`~graphtransducer.lattice._build_stack` writes from its label
 sequences and the one tensor that holds its layout of logits, and makes
-no lattice.  The core exponentiates the logits once: one pass per tensor
-gives the log normalizer and writes exp(h - peak) into the buffer that
-becomes the gradient.
+no lattice.  The core exponentiates the logits once: one pass over its
+tensor gives the log normalizer and writes exp(h - peak) into the buffer
+that becomes the gradient.
 
 The entry points take any :class:`Lattice` that constructs; they do not
 run :func:`~graphtransducer.lattice.validate`, which governs
@@ -67,8 +68,8 @@ class LossResult:
 
     ``grad`` has the exact shape of the logits; every (t, i) row sums to
     zero because the loss is invariant to shifting a softmax row.  In a
-    batch it is a view of the batch's gradient buffer, so keeping it keeps
-    that buffer alive.
+    batch it is a view of the gradient buffer of the member's vocabulary
+    group, so keeping it keeps that buffer alive.
     """
 
     loss: float
@@ -140,14 +141,14 @@ def _stack(pairs: list[tuple[Lattice, PosteriorTensor]]) -> _Stack:
 
 
 def _side_by_side(tables: list[np.ndarray], states: np.ndarray) -> np.ndarray:
-    """The (T_b, S_b, K_b) tables side by side on the state axis of one
-    zero-filled (max T_b, total S_b, max K_b) buffer, left-aligned in time:
-    table b takes frames ``:T_b`` of state columns ``states[b]:states[b + 1]``.
-    The batch's one layout of logits; a training step's tensor holds it."""
-    frames, width = max(len(table) for table in tables), max(table.shape[2] for table in tables)
-    out = np.zeros((frames, states[-1], width))
+    """The (T_b, S_b, K) tables, which share their vocabulary size K, side
+    by side on the state axis of one zero-filled (max T_b, total S_b, K)
+    buffer, left-aligned in time: table b takes frames ``:T_b`` of state
+    columns ``states[b]:states[b + 1]``.  The one layout of logits that the
+    loss scores as one tensor; a training step's tensor holds it."""
+    out = np.zeros((max(len(table) for table in tables), states[-1], tables[0].shape[2]))
     for table, lo, hi in zip(tables, states, states[1:]):
-        out[:len(table), lo:hi, :table.shape[2]] = table
+        out[:len(table), lo:hi] = table
     return out
 
 
@@ -155,36 +156,10 @@ def _single(lat: Lattice, post: PosteriorTensor):
     """The one pair's stack and its edge scores (:func:`_edge_scores`),
     read from the tensor's own ``logits`` and ``lse``."""
     stack = _stack([(lat, post)])
-    return stack, _edge_scores(stack, post.logits, post.lse, [post.vocab_size])
+    return stack, _edge_scores(stack, post.logits, post.lse)
 
 
-def _exponentials(stack: _Stack, posts: list[PosteriorTensor]):
-    """The layout's ``logits``, and from one fused pass per tensor
-    (:meth:`PosteriorTensor._normalize`) the buffer that becomes the
-    gradient holding exp(h - peak), with ``lse`` and the row sums
-    ``total`` of the layout, shape (rows, total S_b, 1).
-
-    ``posts`` holds one tensor per member, which
-    :func:`_side_by_side` lays out, or one tensor that already holds the
-    layout, as a training step's does; a lone tensor is read where it
-    lies, not copied.  Each member's pass runs over its own tensor into
-    its region of the layout, so no pad enters a row's peak or sum.  Pad
-    cells keep exponentials 0, ``lse`` 0 and ``total`` 1, so their
-    gradient comes out 0 with no floating-point warning."""
-    if len(posts) == 1:
-        logits = posts[0].logits
-        exps = np.empty(logits.shape)
-        return logits, exps, *posts[0]._normalize(exps)
-    logits = _side_by_side([post.logits for post in posts], stack.states)
-    exps = np.zeros(logits.shape)
-    lse, total = np.zeros(logits.shape[:2] + (1,)), np.ones(logits.shape[:2] + (1,))
-    for post, lo, hi in zip(posts, stack.states, stack.states[1:]):
-        rows = slice(post.num_frames), slice(lo, hi)
-        lse[rows], total[rows] = post._normalize(exps[rows + (slice(post.vocab_size),)])
-    return logits, exps, lse, total
-
-
-def _edge_scores(stack: _Stack, logits: np.ndarray, lse: np.ndarray, vocabs: list[int]) -> np.ndarray:
+def _edge_scores(stack: _Stack, logits: np.ndarray, lse: np.ndarray) -> np.ndarray:
     """scores[t - 1, e] = log p(t, i_e, k_e) + w_e for each emitting edge e
     of the stack and each row t of ``logits`` and of their log normalizer
     ``lse``, which hold the members' tensors as :func:`_side_by_side` lays
@@ -194,11 +169,12 @@ def _edge_scores(stack: _Stack, logits: np.ndarray, lse: np.ndarray, vocabs: lis
     log p(t, i, k) = h[t, i, k] - lse[t, i] is formed here, at the E edges
     only, so the (T, S, V) log-softmax is never written.  The one gather
     from the tensors, so the one place that checks every edge's state and
-    label against its member's state count and vocabulary size ``vocabs[b]``.
+    label against its member's state count and the vocabulary size
+    ``logits.shape[2]`` that every member shares.
     """
-    counts = np.diff(stack.edges)
+    counts, vocab = np.diff(stack.edges), logits.shape[2]
     outside = stack.column >= np.repeat(stack.states[1:], counts)
-    outside |= stack.label >= np.repeat(vocabs, counts)
+    outside |= stack.label >= vocab
     if outside.any():
         b = int(np.searchsorted(stack.edges, outside.argmax(), side="right")) - 1
         lo, hi = stack.edges[b], stack.edges[b + 1]
@@ -210,7 +186,7 @@ def _edge_scores(stack: _Stack, logits: np.ndarray, lse: np.ndarray, vocabs: lis
                 f"only {n_states} states"
             )
         max_label = int(stack.label[lo:hi].max())
-        raise ValueError(f"lattice emits label {max_label} but the tensor vocab is {vocabs[b]}")
+        raise ValueError(f"lattice emits label {max_label} but the tensor vocab is {vocab}")
     scores = np.subtract(logits[:, stack.column, stack.label], lse[:, stack.column, 0])
     scores += stack.log_weight
     scores[np.arange(len(scores))[:, None] >= np.repeat(stack.frames, counts)] = NEG_INF
@@ -307,7 +283,7 @@ def marginal(
         if np.shape(table) != shape:
             raise ValueError(f"{name} must have shape {shape}; got {np.shape(table)}")
     stack = _stack([(lat, post)])
-    edge = _edge_scores(stack, post.logits[t - 1:t], post.lse[t - 1:t], [post.vocab_size])[0]
+    edge = _edge_scores(stack, post.logits[t - 1:t], post.lse[t - 1:t])[0]
     scores = alpha[t - 1, stack.src] + edge + beta[t, stack.dst]
     return float(_logsumexp(scores)[0])
 
@@ -386,57 +362,76 @@ def batch_loss_and_grad(
     pairs: Iterable[tuple[Lattice, PosteriorTensor]],
 ) -> list[LossResult | InfeasibleLengthError]:
     """:func:`loss_and_grad` of each (lattice, posteriors) pair, in order,
-    through one frame recursion for the whole batch.
+    through one frame recursion per vocabulary size.
 
     A member whose marginal is -inf comes back as the
     :class:`InfeasibleLengthError` that :func:`loss_and_grad` would raise;
-    any other error raises for the batch.  The lattices are concatenated
-    with node offsets into one :class:`_Stack`, a graph of disjoint parts
-    (:func:`_stack`), which :func:`_stack_loss_and_grad` scores against the
-    tensors.  A lone tensor is read as it is; the tensors of a larger batch
-    are copied into one layout (:func:`_side_by_side`).  A member's
-    ``grad`` is a view of the batch's gradient buffer, so keeping one keeps
+    any other error raises for the batch.  The pairs are grouped by their
+    tensors' vocabulary size, in order of first appearance, and each
+    group is scored by one :func:`_stack_loss_and_grad` call: its lattices
+    are concatenated with node offsets into one :class:`_Stack`, a graph
+    of disjoint parts (:func:`_stack`), and scored against one tensor.  A
+    group of one member passes its own tensor, which is read as it is; the
+    tensors of a larger group are copied into one new tensor in the layout
+    a training step scores (:func:`_side_by_side`).  Members of one group
+    share a vocabulary, so no pad enters a row's peak or sum.  A member's
+    ``grad`` is a view of its group's gradient buffer, so keeping one keeps
     that buffer alive.  Each member's result equals its own
     :func:`loss_and_grad` bit for bit: every cell goes through the same
     floating-point operations in the same order.
+
+    What the grouping costs: a batch that mixes vocabulary sizes runs one
+    frame loop per distinct size; the new tensor of a larger group checks
+    its logits for finite values again; and when several members are bad,
+    the ``ValueError`` names the first bad member of the first group that
+    holds one, which need not be the batch's first bad member.
     """
     pairs = list(pairs)
-    if not pairs:
-        return []
-    posts = [post for _, post in pairs]
-    return _stack_loss_and_grad(_stack(pairs), posts, [post.vocab_size for post in posts])
+    groups: dict[int, list[int]] = {}
+    for b, (_, post) in enumerate(pairs):
+        groups.setdefault(post.vocab_size, []).append(b)
+    outcomes: list = [None] * len(pairs)
+    for members in groups.values():
+        group = [pairs[b] for b in members]
+        stack = _stack(group)
+        post = group[0][1] if len(group) == 1 else PosteriorTensor(
+            _side_by_side([tensor.logits for _, tensor in group], stack.states))
+        for b, outcome in zip(members, _stack_loss_and_grad(stack, post)):
+            outcomes[b] = outcome
+    return outcomes
 
 
-def _stack_loss_and_grad(
-    stack: _Stack, posts: list[PosteriorTensor], vocabs: list[int]
-) -> list[LossResult | InfeasibleLengthError]:
-    """:func:`batch_loss_and_grad` of the stack's members against their
-    tensors ``posts``: one per member, laid side by side on the state
-    axis by :func:`_side_by_side`, or one tensor that already holds that
-    layout: member b takes frames :T_b of state columns
-    states[b]:states[b + 1], and labels :V_b with V_b = ``vocabs[b]``.
+def _stack_loss_and_grad(stack: _Stack, post: PosteriorTensor) -> list[LossResult | InfeasibleLengthError]:
+    """:func:`batch_loss_and_grad` of the stack's members against one
+    tensor ``post`` that holds their logits as :func:`_side_by_side` lays
+    them out: member b takes frames :T_b of state columns
+    states[b]:states[b + 1], and every member has the tensor's vocabulary.
     :func:`~graphtransducer.model.train_step` passes the stack that
     :func:`~graphtransducer.lattice._build_stack` writes from its labels,
     with the one tensor of its logits.
 
-    First one pass per tensor (:func:`_exponentials`) gives ``lse`` and
-    the row sums ``total``, and writes exp(h - peak) into the gradient
-    buffer.  One gather reads every edge score into one (max T_b, total E) array,
-    -inf past each member's own T_b.  One frame loop fills logAlpha and
-    logBeta for every member (:func:`_sweep`): each member reads its log
-    marginal from logAlpha row T_b, and the loop writes the member's
-    terminal weights into logBeta row T_b before it reads that row.  The
-    log marginals come from one gather of logAlpha at every member's end edges and one
+    First one pass over the tensor (:meth:`PosteriorTensor._normalize`)
+    gives ``lse`` and the row sums ``total``, and writes exp(h - peak)
+    into the gradient buffer, with no copy of the logits.  One gather
+    reads every edge score into one (max T_b, total E) array, -inf past
+    each member's own T_b.  One frame loop fills logAlpha and logBeta for
+    every member (:func:`_sweep`): each member reads its log marginal from
+    logAlpha row T_b, and the loop writes the member's terminal weights
+    into logBeta row T_b before it reads that row.  The log marginals come
+    from one gather of logAlpha at every member's end edges and one
     log-sum-exp per distinct end-edge count.  Every member goes through
     the occupancy pass; an infeasible member's log P is taken as +inf
     there, so its occupancies come out exactly 0, never NaN.  The
     occupancies are grouped once over (state column, label) keys, and one
     in-place scale of the exponentials by occ(t, i) / total, then the
     scatter of occ(t, i, k), gives every gradient; a member's ``grad`` is
-    the view [:T_b, states[b]:states[b + 1], :V_b] of it.
+    the view [:T_b, states[b]:states[b + 1]] of it.  Pad rows past a
+    member's T_b have occupancy 0, so their gradient is 0 with no
+    floating-point warning.
     """
-    logits, grad, lse, total = _exponentials(stack, posts)
-    scores = _edge_scores(stack, logits, lse, vocabs)
+    grad = np.empty(post.logits.shape)
+    lse, total = post._normalize(grad)
+    scores = _edge_scores(stack, post.logits, lse)
     table = _sweep(stack, scores)
     alpha, beta = table[:, :stack.nodes[-1]], table[::-1, stack.nodes[-1]:]
     outcomes: list = _log_marginals(stack, alpha)
@@ -449,18 +444,18 @@ def _stack_loss_and_grad(
     np.exp(occ, out=occ)
 
     # each edge's (state column, label) pair is keyed column * vocab + label
-    vocab = logits.shape[2]
+    vocab = post.vocab_size
     pair_keys, pair_of_edge = np.unique(stack.column * vocab + stack.label, return_inverse=True)
     pair_column, pair_label = np.divmod(pair_keys, vocab)
     occ_pair = _group_columns(occ, pair_of_edge, pair_keys.size)
     occ_state = _group_columns(occ_pair, pair_column, stack.states[-1])
 
-    # exp(h - peak) * (occ(t, i) / total) - occ(t, i, k) for the whole batch
-    # at once; cells past a member's frames or vocabulary are never returned
+    # exp(h - peak) * (occ(t, i) / total) - occ(t, i, k) for the whole stack
+    # at once; cells past a member's frames are never returned
     grad *= occ_state[:, :, None] / total
     grad[:, pair_column, pair_label] -= occ_pair
-    for b, vocab in enumerate(vocabs):
-        if isinstance(outcomes[b], float):
-            member = grad[:stack.frames[b], stack.states[b]:stack.states[b + 1], :vocab]
-            outcomes[b] = LossResult(loss=-outcomes[b], log_marginal=outcomes[b], grad=member)
+    for b, outcome in enumerate(outcomes):
+        if isinstance(outcome, float):
+            member = grad[:stack.frames[b], stack.states[b]:stack.states[b + 1]]
+            outcomes[b] = LossResult(loss=-outcome, log_marginal=outcome, grad=member)
     return outcomes

@@ -125,11 +125,12 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     (:func:`~graphtransducer.loss._side_by_side`) puts the logits side by
     side on that graph's state axis, in one zero-filled buffer, which one
     :class:`PosteriorTensor` holds.  The loss core that
-    :func:`batch_loss_and_grad` runs takes that tensor, so one pass over
-    it gives the batch's log normalizer and the exponentials that become
-    the gradients, in one buffer of the same layout; each member's
-    gradient is a view of it, so keeping one keeps the whole buffer alive.  The gradients are
-    backpropagated and summed per utterance in batch order.  A label that is not an integer in
+    :func:`batch_loss_and_grad` runs once per vocabulary takes that
+    tensor, so one pass over it gives the batch's log normalizer and the
+    exponentials that become the gradients, in one buffer of the same
+    layout; each member's gradient is a view of it, so keeping one keeps
+    the whole buffer alive.  The gradients are backpropagated and summed
+    per utterance in batch order.  A label that is not an integer in
     1..vocab_size - 1 raises :class:`~graphtransducer.lattice.InvalidSpecError`.
     Utterances whose frame count cannot realize their labels under the
     topology are skipped with a warning rather than corrupting the step.
@@ -140,7 +141,7 @@ def train_step(model: ToyModel, batch: list[Utterance], kind: str) -> float:
     # idx[1:] holds the utterance's checked labels as int64
     stack = _build_stack(kind, [idx[1:] for _, idx, _ in acts], [len(feats) for feats, _, _ in acts])
     post = PosteriorTensor(_side_by_side([act @ model.join_w.T for _, _, act in acts], stack.states))
-    results = _stack_loss_and_grad(stack, [post], [model.vocab_size] * len(batch))
+    results = _stack_loss_and_grad(stack, post)
     losses = []
     total = {name: np.zeros_like(p) for name, p in model.params().items()}
     for i, (result, (feats, idx, act)) in enumerate(zip(results, acts)):
@@ -171,10 +172,10 @@ def make_synthetic_task(seed: int, count: int, vocab: int, max_len: int) -> list
     run starts but blank when a run continues; the order-1 predictor cannot
     tell those apart, so the task would not be memorizable.
     """
-    if vocab < 2:
-        raise ValueError("vocab must be at least 2 (blank plus one label)")
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    # vocab counts the blank plus at least one label
+    for name, value, least in (("count", count, 1), ("vocab", vocab, 2), ("max_len", max_len, 1)):
+        if not _is_int(value) or value < least:
+            raise ValueError(f"{name} must be at least {least}, as an integer; got {value!r}")
     rng = np.random.default_rng(seed)
     eye = np.eye(vocab)
     data = []

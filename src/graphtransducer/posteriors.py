@@ -67,9 +67,12 @@ class PosteriorTensor:
     Frames are 1-based in the math and 0-based in the arrays: row
     ``logprobs[t - 1, i]`` scores frame t.
 
-    One tensor can hold a whole batch side by side on the state axis, as
-    :func:`~graphtransducer.model.train_step` lays out its logits, so one
-    normalizer pass serves every utterance; the loss owns that layout.
+    One tensor can hold a batch of one vocabulary side by side on the
+    state axis, as :func:`~graphtransducer.model.train_step` lays out its
+    logits and :func:`~graphtransducer.loss.batch_loss_and_grad` lays out
+    each vocabulary's members, so one normalizer pass serves every
+    utterance of it; the loss owns that layout and scores one tensor per
+    call.
     """
 
     def __init__(self, logits):

@@ -41,11 +41,12 @@ def random_case(rng: np.random.Generator, kind: str, max_t: int, max_u: int, voc
     :class:`InfeasibleLengthError` with ``frames`` = max_t and the last
     draw's ``min_frames``.  The empty sequence needs one frame, so a small
     max_t with a large max_u can run out of draws.  ``max_t`` must be an
-    integer >= 1 and ``max_u`` an integer >= 0.
+    integer >= 1, ``max_u`` an integer >= 0 and ``vocab``, which counts
+    the blank, an integer >= 2.
     """
     _check_kind(kind)
-    if vocab < 2:
-        raise ValueError("vocab must be at least 2 (blank plus one label)")
+    if not _is_int(vocab) or vocab < 2:
+        raise ValueError(f"vocab must be at least 2 (blank plus one label), as an integer; got {vocab!r}")
     for name, value, least in (("max_t", max_t, 1), ("max_u", max_u, 0)):
         if not _is_int(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}; got {value!r}")

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -114,10 +115,21 @@ def test_synthetic_task_is_deterministic():
 @pytest.mark.parametrize("vocab, max_len, message", [
     (1, 5, "vocab must be at least 2"),
     (6, 0, "max_len must be at least 1"),
+    (3.0, 5, "vocab must be at least 2, as an integer; got 3.0"),
+    (True, 5, "vocab must be at least 2, as an integer; got True"),
+    (6, 2.5, "max_len must be at least 1, as an integer; got 2.5"),
+    (6, -1, "max_len must be at least 1, as an integer; got -1"),
 ])
 def test_synthetic_task_rejects_sizes_it_cannot_fill(vocab, max_len, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         make_synthetic_task(0, 3, vocab, max_len)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, True])
+def test_synthetic_task_rejects_a_count_it_cannot_fill(count):
+    # a count below 1 gave an empty task, and a float one numpy's TypeError
+    with pytest.raises(ValueError, match=re.escape(f"count must be at least 1, as an integer; got {count!r}")):
+        make_synthetic_task(0, count, 3, 2)
 
 
 def test_synthetic_task_is_feasible_and_blank_free():

@@ -287,6 +287,8 @@ def test_random_case_rejects_an_unknown_topology_as_the_spec_does():
     ((True, 2, 3), "max_t must be an integer >= 1; got True"),
     ((0, 2, 3), "max_t must be an integer >= 1; got 0"),
     ((4, 2, 1), "vocab must be at least 2"),
+    ((4, 2, 3.0), "vocab must be at least 2 (blank plus one label), as an integer; got 3.0"),
+    ((4, 2, True), "vocab must be at least 2 (blank plus one label), as an integer; got True"),
 ])
 def test_random_case_rejects_sizes_it_cannot_sample(sizes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
