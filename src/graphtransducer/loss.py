@@ -23,8 +23,9 @@ one tensor of one vocabulary, so a training step passes the graph that
 :func:`~graphtransducer.lattice._build_stack` writes from its label
 sequences and the one tensor that holds its layout of logits, and makes
 no lattice.  The core exponentiates the logits once: one pass over its
-tensor gives the log normalizer and writes exp(h - peak) into the buffer
-that becomes the gradient.
+tensor gives the log normalizer and writes the exponentials into the
+buffer that becomes the gradient, exp(h) when every logit lies within the
+normalizer's range and exp(h - peak) otherwise.
 
 The entry points take any :class:`Lattice` that constructs; they do not
 run :func:`~graphtransducer.lattice.validate`, which governs
@@ -346,11 +347,15 @@ def loss_and_grad(lat: Lattice, post: PosteriorTensor) -> LossResult:
     reads it over the lattice and its reverse at once, as one graph of two
     disjoint parts, and fills logAlpha and logBeta; the array then becomes
     the occupancy buffer.  The logits are exponentiated once: the pass
-    that gives their log normalizer, lse = peak + log(total) with
-    total = sum_k exp(h - peak), writes exp(h - peak) into the gradient's
-    own buffer, and p = exp(h - peak) / total comes out of the one
+    that gives their log normalizer writes the exponentials into the
+    gradient's own buffer, and p = exps / total comes out of the one
     in-place scale by occ(t, i) / total; the (T, S, V) log-softmax is
-    never written.  This is :func:`batch_loss_and_grad` of the one pair.
+    never written.  When every logit lies within the normalizer's range
+    (:class:`~graphtransducer.posteriors.PosteriorTensor`), exps = exp(h),
+    total = sum_k exp(h) and lse = log(total); otherwise each row's peak
+    is shifted out first, so exps = exp(h - peak) and
+    lse = peak + log(total).  This is :func:`batch_loss_and_grad` of the
+    one pair.
     """
     (outcome,) = batch_loss_and_grad([(lat, post)])
     if isinstance(outcome, InfeasibleLengthError):
@@ -411,10 +416,11 @@ def _stack_loss_and_grad(stack: _Stack, post: PosteriorTensor) -> list[LossResul
     with the one tensor of its logits.
 
     First one pass over the tensor (:meth:`PosteriorTensor._normalize`)
-    gives ``lse`` and the row sums ``total``, and writes exp(h - peak)
-    into the gradient buffer, with no copy of the logits.  One gather
-    reads every edge score into one (max T_b, total E) array, -inf past
-    each member's own T_b.  One frame loop fills logAlpha and logBeta for
+    gives ``lse`` and the row sums ``total``, and writes the exponentials
+    into the gradient buffer, with no copy of the logits: exp(h) when
+    every logit lies within the normalizer's range, else exp(h - peak).
+    One gather reads every edge score into one (max T_b, total E) array,
+    -inf past each member's own T_b.  One frame loop fills logAlpha and logBeta for
     every member (:func:`_sweep`): each member reads its log marginal from
     logAlpha row T_b, and the loop writes the member's terminal weights
     into logBeta row T_b before it reads that row.  The log marginals come
@@ -450,7 +456,7 @@ def _stack_loss_and_grad(stack: _Stack, post: PosteriorTensor) -> list[LossResul
     occ_pair = _group_columns(occ, pair_of_edge, pair_keys.size)
     occ_state = _group_columns(occ_pair, pair_column, stack.states[-1])
 
-    # exp(h - peak) * (occ(t, i) / total) - occ(t, i, k) for the whole stack
+    # exps * (occ(t, i) / total) - occ(t, i, k) for the whole stack
     # at once; cells past a member's frames are never returned
     grad *= occ_state[:, :, None] / total
     grad[:, pair_column, pair_label] -= occ_pair

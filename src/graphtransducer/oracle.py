@@ -8,8 +8,10 @@ differences through that enumeration, and the two reduction references
 (plain CTC and the monotonic two-index recursion) are written as direct
 indexed loops.  :func:`decimal_softmax` evaluates a softmax in the
 standard library's ``decimal`` at 40 digits, so the rounding of a float
-one can be measured in ulps (:func:`ulp_error`).  Hard size guards refuse
-exponential work instead of attempting it.
+one can be measured in ulps (:func:`ulp_error`), and
+:func:`decimal_log_marginal` runs the forward recursion there, so the
+rounding of a float log marginal can be measured at any T.  Hard size
+guards refuse exponential work instead of attempting it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ MAX_NODES = 16
 
 NEG_INF = float("-inf")
 
-# significant digits of decimal_softmax, far past float64's 17
+# significant digits of decimal_softmax and decimal_log_marginal, far past
+# float64's 17
 _DECIMAL_DIGITS = 40
 
 
@@ -129,6 +132,49 @@ def decimal_softmax(logits: np.ndarray) -> list[list[Decimal]]:
             total = sum(exps)
             out.append([e / total for e in exps])
     return out
+
+
+def decimal_log_marginal(lat: Lattice, logits: np.ndarray) -> Decimal:
+    """The log marginal of ``lat`` under the softmax of ``logits``, shape
+    (T, states, vocab), in ``decimal`` at ``_DECIMAL_DIGITS`` significant
+    digits.  The forward recursion runs over ``lat.edges`` in probability,
+    not log, space: Decimal's exponent range holds the product of T
+    softmax entries at any T this package meets.  Each (frame, state)
+    row's softmax is its own Decimal one, taken when the recursion first
+    reads the row, so only rows a path reaches cost exponentials.  Each
+    float converts to a Decimal exactly, so no float64 rounding enters.
+    -Infinity when no alignment of T frames has nonzero probability."""
+    rows = np.asarray(logits, dtype=np.float64)
+    if rows.ndim != 3:
+        raise ValueError(f"logits must be 3-D (T, states, vocab); got shape {rows.shape}")
+    emit, final = [], []
+    for e in lat.edges:
+        if e.dst == lat.end_id:
+            final.append((e.src, e.log_weight))
+        elif lat.nodes[e.dst].emitting:
+            emit.append((e.src, e.dst, e.state, lat.nodes[e.dst].label, e.log_weight))
+    with localcontext() as ctx:
+        ctx.prec = _DECIMAL_DIGITS
+        softmax: dict[tuple[int, int], list[Decimal]] = {}
+
+        def prob(t: int, state: int, label: int) -> Decimal:
+            if (t, state) not in softmax:
+                exps = [Decimal(h).exp() for h in rows[t, state].tolist()]
+                total = sum(exps)
+                softmax[t, state] = [e / total for e in exps]
+            return softmax[t, state][label]
+
+        alpha = {lat.start_id: Decimal(1)}
+        for t in range(len(rows)):
+            ahead: dict[int, Decimal] = {}
+            for src, dst, state, label, log_weight in emit:
+                if src in alpha:
+                    step = alpha[src] * Decimal(log_weight).exp() * prob(t, state, label)
+                    ahead[dst] = ahead.get(dst, Decimal(0)) + step
+            alpha = ahead
+        total = sum((alpha[src] * Decimal(log_weight).exp() for src, log_weight in final if src in alpha),
+                    Decimal(0))
+        return total.ln() if total > 0 else Decimal("-Infinity")
 
 
 def ulp_error(values: np.ndarray, exact: list[list[Decimal]]) -> np.ndarray:

@@ -18,6 +18,18 @@ _LOWEST = -np.finfo(np.float64).max  # no finite float is lower
 
 # bytes of logits per block of frames in a pass over a tensor
 _BLOCK_BYTES = 512 * 1024
+# R: a tensor whose logits all lie in [-R, R] is normalized with no row
+# peak shifted out.  R = 600 is safe on three counts:
+# - every exp(h) is a normal float: exp(-600) is about 2.7e-261 and
+#   exp(600) about 3.8e260, inside [DBL_MIN, DBL_MAX] = [2.2e-308, 1.8e308];
+# - no row sum overflows: it is at most V * exp(600), and V would need
+#   4.7e47 labels to reach DBL_MAX;
+# - the gradient's scale occ(t, i) / total, with occ(t, i) <= 1, underflows
+#   only when occ(t, i) < total * DBL_MIN, and total is at most V shifted
+#   but V * exp(R) unshifted.  Every gradient entry exp(h) * occ(t, i) /
+#   total that such a scale rounds is below exp(R) * DBL_MIN = 8.4e-48 in
+#   size, far under the oracle's 1e-10 tolerance.
+_UNSHIFTED_RANGE = 600.0
 # largest single read of a tensor file's payload
 _READ_CHUNK_BYTES = 1 << 20
 
@@ -27,10 +39,11 @@ def _logsumexp(x: np.ndarray, exps: np.ndarray | None = None,
     """log(sum(exp(x))) over the last axis, which is kept with length 1.
 
     The row peak is shifted out first, so large magnitudes neither
-    overflow nor underflow.  Peaks start at ``_LOWEST``, not -inf, so a
-    row with a finite entry gets its own maximum and no shift computes
-    -inf - -inf; a row that is empty or all -inf sums to 0 and gives -inf
-    without a floating-point warning.  ``exps`` and ``total``, when given,
+    overflow nor underflow: the tensor's normalizer runs this past its
+    unshifted range, as do the arrays that may hold -inf.  Peaks start at
+    ``_LOWEST``, not -inf, so a row with a finite entry gets its own
+    maximum and no shift computes -inf - -inf; a row that is empty or all
+    -inf sums to 0 and gives -inf without a floating-point warning.  ``exps`` and ``total``, when given,
     receive the exponentials exp(x - peak) and their row sums, which the
     result is the log of plus the peak; without them both are temporaries.
     """
@@ -38,6 +51,16 @@ def _logsumexp(x: np.ndarray, exps: np.ndarray | None = None,
     shifted = np.subtract(x, peak, out=exps)
     total = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True, out=total)
     return peak + np.log(total, out=np.full_like(total, NEG_INF), where=total > 0.0)
+
+
+def _unshifted_logsumexp(x: np.ndarray, exps: np.ndarray | None = None,
+                         total: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_logsumexp` with no peak shifted out: log(sum(exp(x))) over
+    the last axis, kept with length 1, for finite ``x`` within
+    ``_UNSHIFTED_RANGE`` of 0, where neither the exponentials nor their
+    sums can overflow or underflow.  ``exps`` and ``total``, when given,
+    receive exp(x) and its row sums."""
+    return np.log(np.exp(x, out=exps).sum(axis=-1, keepdims=True, out=total))
 
 
 def _blocks(logits: np.ndarray) -> list[slice]:
@@ -52,14 +75,19 @@ class PosteriorTensor:
 
     ``logits`` holds the raw scores h[t, i, k], and ``lse`` their log
     normalizer logsumexp_k h[t, i, k], shape (T, S, 1).  The constructor
-    checks the shape and that every logit is finite, a block of frames at
-    a time, so a bad tensor raises there; a -inf logit would not show in
-    ``lse``.  It does not copy an input that is already C-contiguous
-    float64, so ``logits`` is a view of it and the caller must not write
-    to it afterwards.  ``lse`` comes from the first pass that needs it:
-    the loss's pass, which also writes the exponentials that become its
-    gradient, or an ``lse``-only pass on the first read of ``lse``.  Both
-    run :func:`_logsumexp` over the same blocks, so ``lse`` has the same
+    checks the shape and takes the smallest and largest logit, which must
+    be finite, so a bad tensor raises there (a -inf logit would not show
+    in ``lse``); the two also say whether every logit lies within
+    ``_UNSHIFTED_RANGE`` of 0.  It does not copy an input that is already
+    C-contiguous float64, so ``logits`` is a view of it and the caller
+    must not write to it afterwards.  ``lse`` comes from the first pass
+    that needs it: the loss's pass, which also writes the exponentials
+    that become its gradient, or an ``lse``-only pass on the first read
+    of ``lse``.  In range, both take no row peak: lse = log(sum_k
+    exp(h)), which is also the more accurate form, since a shift rounds
+    h - peak before ``exp`` amplifies that rounding.  Out of range, both
+    shift each row's peak out first (:func:`_logsumexp`).  Both passes run
+    the same normalizer over the same blocks, so ``lse`` has the same
     bits either way.  Both arrays are read-only, as a write to either would
     give a finite wrong loss.  ``logprobs``, the log-softmax
     ``logits - lse`` whose (t, i) rows each sum to one in probability
@@ -81,9 +109,11 @@ class PosteriorTensor:
             raise ValueError(f"logits must have shape (T, states, vocab); got {logits.shape}")
         if min(logits.shape) < 1:
             raise ValueError(f"all logits dimensions must be positive; got {logits.shape}")
-        for rows in _blocks(logits):
-            if not np.isfinite(logits[rows]).all():
-                raise ValueError("logits must be finite")
+        # both reductions propagate NaN, so two finite bounds mean finite logits
+        lo, hi = float(logits.min()), float(logits.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("logits must be finite")
+        self._in_range = -_UNSHIFTED_RANGE <= lo and hi <= _UNSHIFTED_RANGE
         self.logits = logits.view()
         self.logits.flags.writeable = False
         self._lse: np.ndarray | None = None
@@ -96,15 +126,21 @@ class PosteriorTensor:
 
     def _normalize(self, exps: np.ndarray | None = None):
         """``(lse, total)`` from one pass over the logits, a block of frames
-        at a time so the temporaries stay in cache.  With ``exps``, an
-        array of the logits' shape, exp(h - peak) is written there and
-        ``total`` holds its row sums; without it ``total`` is None.  The
-        first pass keeps its ``lse``."""
+        at a time so the temporaries stay in cache.  When every logit lies
+        within ``_UNSHIFTED_RANGE`` of 0, the pass takes no row peak: it
+        exponentiates h, sums each row into ``total`` and takes
+        lse = log(total) (:func:`_unshifted_logsumexp`).  Otherwise it runs
+        the shifted :func:`_logsumexp`, with exp(h - peak) and
+        lse = peak + log(total).  With ``exps``, an array of the logits'
+        shape, those exponentials are written there and ``total`` holds
+        their row sums; without it ``total`` is None.  The first pass keeps
+        its ``lse``."""
         lse = np.empty(self.logits.shape[:2] + (1,))
         total = None if exps is None else np.empty_like(lse)
+        normalizer = _unshifted_logsumexp if self._in_range else _logsumexp
         for rows in _blocks(self.logits):
             outs = () if exps is None else (exps[rows], total[rows])
-            lse[rows] = _logsumexp(self.logits[rows], *outs)
+            lse[rows] = normalizer(self.logits[rows], *outs)
         if self._lse is None:
             lse.flags.writeable = False
             self._lse = lse

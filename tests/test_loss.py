@@ -49,7 +49,7 @@ from graphtransducer.loss import (
     _sweep,
 )
 from graphtransducer.oracle import log_softmax
-from graphtransducer.posteriors import _BLOCK_BYTES, _logsumexp
+from graphtransducer.posteriors import _BLOCK_BYTES, _UNSHIFTED_RANGE, _logsumexp
 from graphtransducer.verify import FD_STEP, GRAD_TOL, ORACLE_TOL, ROW_SUM_TOL, random_case
 
 NEG_INF = float("-inf")
@@ -358,6 +358,34 @@ def test_emitting_edge_without_state_is_an_error():
             entry(lat, post)
 
 
+def first_edge_lattice(state, label):
+    # start -> label -> blank -> end over 2 states and 3 labels; a bad
+    # state or label passed here sits on the member's first edge
+    return Lattice(
+        (Node(0, "start"), Node(1, label), Node(2, BLANK), Node(3, "end")),
+        (Edge(0, 1, 0.0, state), Edge(1, 2, 0.0, 0), Edge(2, 3, 0.0, None)),
+        num_states=2,
+        vocab_size=3,
+    )
+
+
+@pytest.mark.parametrize("bad_member", [0, 1])
+@pytest.mark.parametrize("state, label, message", [
+    (5, 1, "lattice references decoder state 5 but the tensor has only 2 states"),
+    (1, 7, "lattice emits label 7 but the tensor vocab is 3"),
+])
+def test_a_bad_first_edge_is_named_in_its_own_member(bad_member, state, label, message):
+    # the gather finds the member that holds the first bad edge from the
+    # members' edge offsets; that edge opens its member here, so a search
+    # that took the offset as the previous member's end would name member
+    # 0's good edges, or no member at all
+    pairs = [(first_edge_lattice(1, 2), rand_post(b, 2, 2, 3)) for b in range(2)]
+    pairs[bad_member] = (first_edge_lattice(state, label), pairs[bad_member][1])
+    with pytest.raises(ValueError) as info:
+        batch_loss_and_grad(pairs)
+    assert str(info.value) == message
+
+
 def occupancy_case(rng, kind):
     """A case past check_gradients' reach: T up to 40, U up to 8, decoder
     states the lattice never uses, and a top label it never emits.  ctc-like
@@ -510,16 +538,19 @@ STEP = _BLOCK_BYTES // (3 * 50 * 8)
 def block_batches(draw):
     """1 to 3 tensors of one vocabulary, with frame counts at, just either
     side of, and past three blocks of 3 states by 50 labels, at logit
-    scales 0.1 to 100, each with a lattice of its state count."""
+    scales 0.1 to 1000 and offsets that put them inside the normalizer's
+    unshifted range, near its bounds or past them, each with a lattice of
+    its state count."""
     vocab, batch = draw(st.sampled_from([2, 7, 50])), []
     for _ in range(draw(st.integers(1, 3))):
         states = draw(st.integers(1, 3))
         frames = draw(st.sampled_from([1, STEP - 1, STEP, STEP + 1, 3 * STEP + 2]))
-        scale = draw(st.sampled_from([0.1, 1.0, 10.0, 100.0]))
+        scale = draw(st.sampled_from([0.1, 1.0, 10.0, 100.0, 1000.0]))
+        offset = draw(st.sampled_from([0.0, 0.9, -0.9, 1.1, -1.1])) * _UNSHIFTED_RANGE
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         logits = rng.normal(0, scale, (frames, states, vocab)) + rng.normal(0, scale, (frames, states, 1))
         lat = build_lattice(TopologySpec(CTC_LIKE, (1,) * (states - 1), vocab))
-        batch.append((lat, PosteriorTensor(logits)))
+        batch.append((lat, PosteriorTensor(logits + offset)))
     return batch
 
 
@@ -532,13 +563,19 @@ def test_the_fused_pass_gives_lse_bit_for_bit_and_the_softmax_within_its_roundin
         # the lse-only pass of a fresh tensor, with the tensor's kept lse
         alone = PosteriorTensor(post.logits).lse
         assert np.array_equal(lse, alone) and np.array_equal(post.lse, alone)
+        # exp(h) within the range; past it exp(h - peak), whose rounding of
+        # h - peak adds to the budget
+        h, shift = post.logits, 0.0
+        if np.abs(h).max() <= _UNSHIFTED_RANGE:
+            assert np.array_equal(exps, np.exp(h))
+        else:
+            shift = h - h.max(axis=-1, keepdims=True)
+            assert np.array_equal(exps, np.exp(shift))
         got = exps / total
-        want = np.exp(post.logits - alone)
+        want = np.exp(h - alone)
         # rounding of lse, h - lse and h - peak, and of the sum and quotient,
         # in ulps of p, with a factor 2 to spare
-        h = post.logits
-        peak = h.max(axis=-1, keepdims=True)
-        budget = np.abs(alone) + np.abs(h - alone) + np.abs(h - peak) + 4 * np.log2(post.vocab_size) + 6
+        budget = np.abs(alone) + np.abs(h - alone) + np.abs(shift) + 4 * np.log2(post.vocab_size) + 6
         assert np.all(np.abs(got - want) <= 2 * budget * np.spacing(got))
     # the time-pad rows of a one-vocabulary layout give a zero gradient
     # with no warning

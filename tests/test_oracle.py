@@ -28,7 +28,7 @@ from graphtransducer import (
     verify,
 )
 from graphtransducer import oracle
-from graphtransducer.oracle import decimal_softmax, log_softmax, ulp_error
+from graphtransducer.oracle import decimal_log_marginal, decimal_softmax, log_softmax, ulp_error
 from graphtransducer.verify import random_case
 
 
@@ -252,18 +252,32 @@ def test_monornnt_reduction():
 
 
 def test_oracle_checks_catch_a_wrong_production_normalizer(monkeypatch):
-    # a constant added to every log normalizer shifts each production log
-    # marginal by -0.25 T; an oracle that read post.logprobs would shift too
-    exact = posteriors._logsumexp
-    monkeypatch.setattr(posteriors, "_logsumexp", lambda x: exact(x) + 0.25)
-    match, _ = verify.check_marginal_oracle(seed=0, cases=20)
-    reductions = [
-        verify.check_reduction(CTC_LIKE, seed=0, cases=10),
-        verify.check_reduction(MONO_RNNT, seed=0, cases=10),
-    ]
-    for result in (match, *reductions):
-        assert not result.passed
-        assert result.text.startswith(f"{result.name}: FAIL ")
+    # a constant added to every log normalizer, in range and past it,
+    # shifts each production log marginal by -0.25 T; an oracle that read
+    # post.logprobs would shift too.  Every case runs once as drawn, inside
+    # the range, and once moved past it, which leaves each softmax as it is
+    draw = verify.random_case
+    for offset in (0.0, 2 * posteriors._UNSHIFTED_RANGE):
+        def moved_case(*args, offset=offset):
+            lat, post, labels = draw(*args)
+            moved = PosteriorTensor(post.logits + offset)
+            assert moved._in_range == (offset == 0.0)
+            return lat, moved, labels
+
+        def checks():
+            match, _ = verify.check_marginal_oracle(seed=0, cases=20)
+            return [match, verify.check_reduction(CTC_LIKE, seed=0, cases=10),
+                    verify.check_reduction(MONO_RNNT, seed=0, cases=10)]
+
+        monkeypatch.setattr(verify, "random_case", moved_case)
+        assert all(result.passed for result in checks())
+        with monkeypatch.context() as fault:
+            for name in ("_logsumexp", "_unshifted_logsumexp"):
+                exact = getattr(posteriors, name)
+                fault.setattr(posteriors, name, lambda x, *outs, exact=exact: exact(x, *outs) + 0.25)
+            for result in checks():
+                assert not result.passed
+                assert result.text.startswith(f"{result.name}: FAIL ")
 
 
 def test_random_case_rejects_an_unknown_topology_as_the_spec_does():
@@ -320,3 +334,50 @@ def test_decimal_softmax_rows_sum_to_one_at_its_precision():
     with pytest.raises(ValueError, match="2-D"):
         decimal_softmax(np.zeros(3))
 
+
+def test_decimal_log_marginal_equals_path_enumeration():
+    rng = np.random.default_rng(10)
+    for i in range(12):
+        lat, post, _ = random_case(rng, (CTC_LIKE, MONO_RNNT)[i % 2], 5, 3, 4)
+        exact = decimal_log_marginal(lat, post.logits)
+        assert isinstance(exact, Decimal)
+        assert float(exact) == pytest.approx(brute_force_marginal(lat, post), rel=1e-14, abs=1e-14)
+    # too few frames for any alignment
+    lat = build_lattice(TopologySpec(CTC_LIKE, (1, 1), 3))
+    assert decimal_log_marginal(lat, np.zeros((2, 3, 3))) == Decimal("-Infinity")
+    with pytest.raises(ValueError, match="3-D"):
+        decimal_log_marginal(lat, np.zeros((2, 3)))
+
+
+# float64 epsilons of relative error that log_marginal keeps to against the
+# decimal reference on decimal_cases(), both with and without the row-peak
+# shift, whose cases measured at most 2.5 and 9.9.  Past the range each
+# score h - lse rounds at |h| near 660, where an ulp is 1.1e-13, so the
+# shifted case gets the larger bound
+LOG_MARGINAL_EPS = {True: 4.0, False: 16.0}
+
+
+def decimal_cases():
+    """Both topologies at T 20 to 40 and logit scales 1 and 30, inside the
+    normalizer's unshifted range, then one tensor moved past the range,
+    which takes the shifted pass."""
+    rng = np.random.default_rng(26)
+    for kind in (CTC_LIKE, MONO_RNNT):
+        for scale in (1.0, 30.0):
+            n_labels = int(rng.integers(3, 8))
+            labels = tuple(int(k) for k in rng.integers(1, 6, n_labels))
+            lat = build_lattice(TopologySpec(kind, labels, 6))
+            yield lat, rng.normal(0.0, scale, (int(rng.integers(20, 41)), n_labels + 1, 6))
+    yield lat, rng.normal(0.0, 1.0, (30, n_labels + 1, 6)) - 1.1 * posteriors._UNSHIFTED_RANGE
+
+
+def test_log_marginal_is_within_a_few_eps_of_the_decimal_reference():
+    eps = Decimal(float(np.finfo(np.float64).eps))
+    paths = []
+    for lat, logits in decimal_cases():
+        post = PosteriorTensor(logits)
+        paths.append(post._in_range)
+        exact = decimal_log_marginal(lat, logits)
+        error = abs(Decimal(log_marginal(lat, post)) - exact) / abs(exact)
+        assert error <= Decimal(LOG_MARGINAL_EPS[post._in_range]) * eps
+    assert paths == [True] * 4 + [False]

@@ -11,7 +11,7 @@ from graphtransducer import (
     read_tensor,
     write_tensor,
 )
-from graphtransducer.posteriors import _BLOCK_BYTES, _READ_CHUNK_BYTES, _logsumexp
+from graphtransducer.posteriors import _BLOCK_BYTES, _READ_CHUNK_BYTES, _UNSHIFTED_RANGE, _logsumexp
 
 
 def test_logprob_rows_are_normalized():
@@ -54,31 +54,67 @@ def test_rejects_nonfinite_logits():
 # STEP frames of float64 logits fill one block of the constructor's normalizer pass
 STATES, VOCAB = 3, 50
 STEP = _BLOCK_BYTES // (STATES * VOCAB * 8)
+BLOCK_SHAPES = [
+    (1, STATES, VOCAB),
+    (STEP, STATES, VOCAB),
+    (STEP + 1, STATES, VOCAB),
+    (3 * STEP + 2, STATES, VOCAB),
+    # one frame is larger than a block, so each block is one frame
+    (3, 2, _BLOCK_BYTES // 16 + 1),
+]
 
 
-@pytest.mark.parametrize(
-    "frames, states, vocab",
-    [
-        (1, STATES, VOCAB),
-        (STEP, STATES, VOCAB),
-        (STEP + 1, STATES, VOCAB),
-        (3 * STEP + 2, STATES, VOCAB),
-        # one frame is larger than a block, so each block is one frame
-        (3, 2, _BLOCK_BYTES // 16 + 1),
-    ],
-)
-def test_blocked_normalizer_equals_dense_bit_for_bit(frames, states, vocab):
-    logits = np.random.default_rng(frames).normal(0, 4, (frames, states, vocab))
+def _dense_unshifted(logits):
+    # exp, row sum and log over the whole tensor at once, with no row peak
+    exps = np.exp(logits)
+    total = exps.sum(axis=-1, keepdims=True)
+    return np.log(total), exps, total
+
+
+def _dense_shifted(logits):
+    exps, total = np.empty(logits.shape), np.empty(logits.shape[:2] + (1,))
+    return _logsumexp(logits, exps, total), exps, total
+
+
+def assert_both_passes_equal(logits, dense):
+    """The lse-only pass, the kept lse, logprobs and the loss's fused pass
+    of ``logits`` all equal the dense pass ``dense`` bit for bit."""
+    lse, exps, total = dense
     post = PosteriorTensor(logits)
-    dense = _logsumexp(logits)
-    assert post.lse.shape == (frames, states, 1)
-    assert np.array_equal(post.lse, dense)
-    assert np.array_equal(post.logprobs, logits - dense)
-    # the loss's fused pass: the same lse, and the dense routine's exponentials
-    exps, dense_exps, dense_total = np.empty(logits.shape), np.empty(logits.shape), np.empty(dense.shape)
-    lse, total = PosteriorTensor(logits)._normalize(exps)
-    assert np.array_equal(lse, dense) and np.array_equal(_logsumexp(logits, dense_exps, dense_total), dense)
-    assert np.array_equal(exps, dense_exps) and np.array_equal(total, dense_total)
+    assert post.lse.shape == logits.shape[:2] + (1,)
+    assert np.array_equal(post.lse, lse)
+    assert np.array_equal(post.logprobs, logits - lse)
+    fused_exps = np.empty(logits.shape)
+    fused_lse, fused_total = PosteriorTensor(logits)._normalize(fused_exps)
+    assert np.array_equal(fused_lse, lse)
+    assert np.array_equal(fused_exps, exps) and np.array_equal(fused_total, total)
+
+
+@pytest.mark.parametrize("frames, states, vocab", BLOCK_SHAPES)
+def test_blocked_normalizer_equals_dense_bit_for_bit(frames, states, vocab):
+    # every logit within the range: exp(h), row sums and log(total)
+    logits = np.random.default_rng(frames).normal(0, 4, (frames, states, vocab))
+    assert_both_passes_equal(logits, _dense_unshifted(logits))
+
+
+@pytest.mark.parametrize("frames, states, vocab", BLOCK_SHAPES)
+def test_blocked_normalizer_past_the_range_equals_the_shifted_pass_bit_for_bit(frames, states, vocab):
+    # the same logits moved past the range take the shifted pass
+    logits = np.random.default_rng(frames).normal(0, 4, (frames, states, vocab)) - 2 * _UNSHIFTED_RANGE
+    assert_both_passes_equal(logits, _dense_shifted(logits))
+
+
+@pytest.mark.parametrize("edge", ["hi", "lo"])
+def test_the_range_includes_its_bounds_and_nothing_past_them(edge):
+    sign = 1.0 if edge == "hi" else -1.0
+    logits = np.random.default_rng(5).normal(0, 4, (6, 3, 7)) + sign * (_UNSHIFTED_RANGE - 40.0)
+    logits[2, 1, 3] = sign * _UNSHIFTED_RANGE
+    past = logits.copy()
+    past[2, 1, 3] = np.nextafter(sign * _UNSHIFTED_RANGE, sign * np.inf)
+    # exp(h) and exp(h - peak) differ, so the fused pass's exponentials
+    # tell the two passes apart
+    assert_both_passes_equal(logits, _dense_unshifted(logits))
+    assert_both_passes_equal(past, _dense_shifted(past))
 
 
 def test_lse_is_kept_from_the_first_pass_and_read_only():

@@ -1,11 +1,16 @@
 """Measure the rounding of the loss's softmax against a 40-digit reference.
 
-The gradient's softmax p = exp(h - peak) / total comes from the pass that
-gives the log normalizer lse = peak + log(total); before, the gradient
-formed p as exp(h - lse).  This samples (frame, state) rows of the 16
-inputs of the benchmark's loss-long workload for a seed, evaluates both
-forms with the package's own passes, and prints each form's mean and
-largest error in ulps against ``oracle.decimal_softmax``:
+The gradient's softmax p = exps / total comes from the normalizer's own
+pass.  When every logit of a tensor lies within the normalizer's range,
+that pass takes no row peak (exps = exp(h), lse = log(total)); otherwise
+it shifts each row's peak out first (exps = exp(h - peak),
+lse = peak + log(total)).  This samples (frame, state) rows of the 16
+inputs of the benchmark's loss-long workload for a seed and evaluates
+three forms of p with the package's own passes: the production pass
+(``PosteriorTensor._normalize``), the shifted pass called directly
+(``posteriors._logsumexp``), and exp(h - lse), which the gradient formed
+before it took its softmax from the normalizer.  It prints each form's
+mean and largest error in ulps against ``oracle.decimal_softmax``:
 
     python3 tools/ulp_error.py [--seed 9]
 
@@ -26,19 +31,23 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from graphtransducer import PosteriorTensor  # noqa: E402
 from graphtransducer.oracle import decimal_softmax, ulp_error  # noqa: E402
+from graphtransducer.posteriors import _logsumexp  # noqa: E402
 
 ROWS_PER_INPUT = 10
 
 
 def softmax_forms(rows: np.ndarray) -> dict[str, np.ndarray]:
-    """Both softmax forms of each row of a 2-D array of logits, from the
-    package's passes over the rows as a (rows, 1, labels) tensor."""
+    """The three softmax forms of each row of a 2-D array of logits, from
+    the package's passes over the rows as a (rows, 1, labels) tensor."""
     post = PosteriorTensor(rows[:, None, :])
     exps = np.empty(post.logits.shape)
     _, total = post._normalize(exps)
+    shifted_exps, shifted_total = np.empty(post.logits.shape), np.empty(total.shape)
+    _logsumexp(post.logits, shifted_exps, shifted_total)
     return {
+        "production (_normalize)": (exps / total)[:, 0],
+        "shifted (_logsumexp)": (shifted_exps / shifted_total)[:, 0],
         "exp(h - lse)": np.exp(post.logits - post.lse)[:, 0],
-        "exp(h - peak) / total": (exps / total)[:, 0],
     }
 
 
